@@ -126,7 +126,8 @@ def load_weights(path, manifest=None) -> WeightStore:
     """Read a TSSD file back into a float32 store.
 
     When a manifest is given, blob names, shapes, and order must match it
-    exactly.
+    exactly. A NaN or infinite value is rejected with its blob and byte
+    offset named.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -169,8 +170,13 @@ def load_weights(path, manifest=None) -> WeightStore:
             fail(offset, f"truncated payload for blob {name!r}")
         payload = np.frombuffer(raw, dtype="<f2" if dtype == "f16" else "<f4",
                                 count=count, offset=offset)
+        values = payload.astype(np.float32)
+        finite = np.isfinite(values)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            fail(offset + first * _ITEM_SIZE[dtype], f"non-finite value in blob {name!r}")
         offset += nbytes
-        store.add(name, payload.astype(np.float32).reshape(shape))
+        store.add(name, values.reshape(shape))
     if offset != len(raw):
         fail(offset, f"{len(raw) - offset} trailing byte(s) after last blob")
     if manifest is not None:

@@ -17,6 +17,8 @@ from .ops import softmax_rows
 DEFAULT_MIN_SIZES = (30.0, 60.0, 111.0, 162.0, 213.0, 264.0)
 DEFAULT_MAX_SIZES = (60.0, 111.0, 162.0, 213.0, 264.0, 315.0)
 DEFAULT_VARIANCES = (0.1, 0.2)
+# Largest per-class candidate count whose IoU table NMS computes in one call.
+NMS_TABLE_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -175,15 +177,9 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two (n, 4) and (m, 4) corner-form box arrays."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    ix = np.clip(
-        np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0]),
-        0.0, None,
-    )
-    iy = np.clip(
-        np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1]),
-        0.0, None,
-    )
-    inter = ix * iy
+    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     union = area_a[:, None] + area_b[None, :] - inter
@@ -191,21 +187,35 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where(inter > 0, inter / union, 0.0)
 
 
-def nms_per_class(scores: np.ndarray, boxes: np.ndarray, iou_threshold: float) -> list[int]:
+def nms_per_class(scores: np.ndarray, boxes: np.ndarray, iou_threshold: float,
+                  max_keep: int | None = None) -> list[int]:
     """Greedy suppression; returns kept indices into the input arrays.
 
     Candidates are visited by descending score, ties broken by lower
     original index; a box is kept iff its IoU with every previously kept
-    box is <= the threshold.
+    box is <= the threshold. Each kept box drops the later candidates it
+    overlaps with one IoU row. With max_keep, the walk stops after that
+    many kept boxes, which equals the first max_keep of the full result.
     """
+    if max_keep is not None and max_keep < 0:
+        raise ConfigError(f"max_keep must be >= 0, got {max_keep}")
     scores = np.asarray(scores, dtype=np.float64)
-    boxes = np.asarray(boxes, dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
+    boxes = np.asarray(boxes, dtype=np.float64)[order]
+    alive = np.ones(len(order), dtype=bool)
+    limit = len(order) if max_keep is None else max_keep
+    # A few candidates cost less as one table than as a call per kept box;
+    # the table has no more rows than the walk could keep.
+    table = iou_matrix(boxes, boxes) if len(order) <= min(limit, NMS_TABLE_MAX) else None
     kept: list[int] = []
-    for idx in order:
-        box = boxes[idx]
-        if all(iou(box, boxes[k]) <= iou_threshold for k in kept):
-            kept.append(int(idx))
+    for i in range(len(order)):
+        if len(kept) >= limit:
+            break
+        if not alive[i]:
+            continue
+        kept.append(int(order[i]))
+        row = iou_matrix(boxes[i:i + 1], boxes[i + 1:])[0] if table is None else table[i, i + 1:]
+        alive[i + 1:] &= row <= iou_threshold
     return kept
 
 
@@ -214,7 +224,15 @@ def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,
            variances=DEFAULT_VARIANCES) -> list[Detection]:
     """Single-image post-processing: softmax, per-class threshold + NMS,
     then a global top_k cap. Detections come back sorted by descending
-    score (ties: class, then prior index); class 0 never appears."""
+    score (ties: class, then prior index); class 0 never appears.
+
+    NMS stops each class at top_k kept boxes. A box's fate depends only on
+    the higher-ranked boxes of its class, and a class's later survivors
+    rank below its first top_k, so the output is that of full NMS while
+    the work is at most top_k IoU rows per class.
+    """
+    if top_k < 0:
+        raise ConfigError(f"top_k must be >= 0, got {top_k}")
     if head.loc.ndim != 3 or head.loc.shape[0] != 1:
         raise ShapeError(f"detect expects a single-image HeadOutput, got loc {head.loc.shape}")
     loc = head.loc[0]
@@ -238,7 +256,7 @@ def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,
         if not mask.any():
             continue
         idx = np.flatnonzero(mask)
-        kept = nms_per_class(scores[idx], decoded[idx], iou_threshold)
+        kept = nms_per_class(scores[idx], decoded[idx], iou_threshold, max_keep=top_k)
         for k in kept:
             prior_idx = int(idx[k])
             score = float(scores[prior_idx])

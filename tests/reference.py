@@ -67,6 +67,41 @@ def nms_reference(scores, boxes, threshold):
     return kept
 
 
+def detect_reference(loc, logits, prior_boxes, conf, iou, top_k, variances=(0.1, 0.2)):
+    """Single-image detect from its definition, as (class_id, score, box) triples.
+
+    Row softmax over the logits; per foreground class, the rows with finite
+    offsets and a score of at least ``conf``; ``nms_reference`` over their
+    decoded, clipped boxes; one global sort of every survivor by (-score,
+    class, prior index); the first ``top_k``.
+    """
+    loc = np.asarray(loc, dtype=np.float64)
+    logits = np.asarray(logits, dtype=np.float64)
+    priors = np.asarray(prior_boxes, dtype=np.float64)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    finite = np.isfinite(loc).all(axis=1)
+    boxes = np.zeros_like(loc)
+    for i in np.flatnonzero(finite):
+        pcx = (priors[i, 0] + priors[i, 2]) / 2
+        pcy = (priors[i, 1] + priors[i, 3]) / 2
+        pw = priors[i, 2] - priors[i, 0]
+        ph = priors[i, 3] - priors[i, 1]
+        cx = pcx + loc[i, 0] * variances[0] * pw
+        cy = pcy + loc[i, 1] * variances[0] * ph
+        w = pw * np.exp(loc[i, 2] * variances[1])
+        h = ph * np.exp(loc[i, 3] * variances[1])
+        boxes[i] = np.clip([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], 0.0, 1.0)
+    survivors = []
+    for class_id in range(1, probs.shape[1]):
+        rows = [i for i in range(len(loc)) if finite[i] and probs[i, class_id] >= conf]
+        for k in nms_reference(probs[rows, class_id], boxes[rows], iou):
+            survivors.append((-probs[rows[k], class_id], class_id, rows[k]))
+    survivors.sort()
+    return [(c, float(-neg), tuple(float(v) for v in boxes[i]))
+            for neg, c, i in survivors[:top_k]]
+
+
 def encode_boxes(boxes, prior_boxes, variances=(0.1, 0.2)):
     """Inverse of the center/size offset decoding, for round-trip checks."""
     boxes = np.asarray(boxes, dtype=np.float64)

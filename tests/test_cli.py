@@ -183,3 +183,28 @@ def test_detect_to_eval_round_trip(model_path, ppm_path, tmp_path, capsys):
     (ann_dir / "scene.xml").write_text(ANNOTATION)
     assert main(["eval", "--detections", str(det_file), "--annotations", str(ann_dir)]) == 0
     assert "mAP" in capsys.readouterr().out
+
+
+def test_detect_negative_top_k_is_error(model_path, ppm_path, capsys):
+    code = main(["detect", "--model", str(model_path), "--image", str(ppm_path),
+                 "--top-k", "-1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "top_k must be >= 0" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_detect_nan_weight_is_format_error(model_path, ppm_path, tmp_path, capsys):
+    raw = bytearray(model_path.read_bytes())
+    # first conv1/w value: after the name, dtype tag, rank and four dims
+    offset = raw.index(b"conv1/w") + len(b"conv1/w") + 2 + 4 * 4
+    raw[offset:offset + 4] = np.float32(np.nan).tobytes()
+    bad = tmp_path / "nan.tssd"
+    bad.write_bytes(bytes(raw))
+    code = main(["detect", "--model", str(bad), "--image", str(ppm_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"non-finite value in blob 'conv1/w' at byte {offset}" in captured.err
+    assert "Traceback" not in captured.err

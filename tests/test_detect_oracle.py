@@ -1,0 +1,112 @@
+"""detect against its definition, and the bound on its NMS work."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from tinyssd import priors
+from tinyssd.errors import ConfigError
+from tinyssd.network import HeadOutput
+from tinyssd.priors import PriorSet, detect, nms_per_class
+
+from reference import detect_reference, random_corner_boxes
+
+# nms_reference builds a full pairwise table, so examples are kept to at
+# most this many (candidate, candidate) pairs summed over classes.
+ORACLE_PAIRS = 40_000
+
+
+def _head(loc, logits):
+    return HeadOutput(loc=loc[None].astype(np.float32), conf=logits[None].astype(np.float32))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_priors=st.integers(20, 400),
+    n_classes=st.integers(1, 20),
+    decimals=st.sampled_from([None, 1, 0]),
+    conf=st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.5, 0.9]),
+    iou=st.sampled_from([0.0, 0.2, 0.45, 0.7, 1.0]),
+    top_k_share=st.floats(0.0, 1.0),
+    non_finite=st.booleans(),
+)
+def test_detect_equals_reference(seed, n_priors, n_classes, decimals, conf, iou,
+                                 top_k_share, non_finite):
+    rng = np.random.default_rng(seed)
+    boxes = random_corner_boxes(rng, n_priors)
+    loc = rng.normal(0.0, 0.5, (n_priors, 4))
+    logits = rng.normal(0.0, 2.0, (n_priors, n_classes + 1))
+    if decimals is not None:  # coarse logits give tied scores
+        logits = np.round(logits, decimals)
+    if non_finite:
+        loc[rng.integers(0, n_priors, 3), rng.integers(0, 4, 3)] = np.nan
+        logits[rng.integers(0, n_priors, 3), rng.integers(0, n_classes + 1, 3)] = np.inf
+        logits[rng.integers(0, n_priors, 3), rng.integers(0, n_classes + 1, 3)] = -np.inf
+    head = _head(loc, logits)
+    with np.errstate(invalid="ignore"):
+        e = np.exp(head.conf[0] - head.conf[0].max(axis=1, keepdims=True))
+        passing = (e / e.sum(axis=1, keepdims=True) >= conf).sum(axis=0)
+    assume(int((passing[1:].astype(np.int64) ** 2).sum()) <= ORACLE_PAIRS)
+    top_k = round(top_k_share * n_priors * n_classes)
+
+    with np.errstate(invalid="ignore"):
+        got = detect(head, PriorSet(boxes=boxes), conf, iou, top_k)
+        want = detect_reference(head.loc[0], head.conf[0], boxes, conf, iou, top_k)
+    assert [(d.class_id, d.score, d.box) for d in got] == want
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 300),
+    decimals=st.sampled_from([None, 1]),
+    iou=st.sampled_from([0.0, 0.3, 0.45, 0.7]),
+    max_keep=st.integers(0, 300),
+)
+def test_nms_max_keep_is_a_prefix(seed, n, decimals, iou, max_keep):
+    rng = np.random.default_rng(seed)
+    boxes = random_corner_boxes(rng, n)
+    scores = rng.uniform(0.0, 1.0, n)
+    if decimals is not None:
+        scores = np.round(scores, decimals)
+    full = nms_per_class(scores, boxes, iou)
+    assert nms_per_class(scores, boxes, iou, max_keep=max_keep) == full[:max_keep]
+
+
+@pytest.mark.parametrize("top_k", [1, 200])
+def test_suppression_rows_bounded_by_top_k(prior_set, monkeypatch, top_k):
+    """Every prior passes for all 20 classes at conf 0 (160,600 candidates);
+    NMS still computes at most 20 * top_k IoU rows."""
+    n = len(prior_set)
+    candidates, rows = [], []
+    real_nms, real_iou = priors.nms_per_class, priors.iou_matrix
+
+    def counting_nms(scores, *args, **kwargs):
+        candidates.append(len(scores))
+        return real_nms(scores, *args, **kwargs)
+
+    def counting_iou(a, b):
+        rows.append(len(a))
+        return real_iou(a, b)
+
+    monkeypatch.setattr(priors, "nms_per_class", counting_nms)
+    monkeypatch.setattr(priors, "iou_matrix", counting_iou)
+    head = _head(np.zeros((n, 4)), np.zeros((n, 21)))
+    found = detect(head, prior_set, conf_threshold=0.0, top_k=top_k)
+    assert sum(candidates) == 20 * n == 160_600
+    assert sum(rows) <= 20 * top_k
+    assert len(found) == top_k
+
+
+def test_negative_max_keep_is_rejected():
+    with pytest.raises(ConfigError, match="max_keep"):
+        nms_per_class(np.ones(2), np.ones((2, 4)), 0.45, max_keep=-1)
+
+
+def test_negative_top_k_is_rejected(prior_set):
+    n = len(prior_set)
+    head = _head(np.zeros((n, 4)), np.zeros((n, 21)))
+    with pytest.raises(ConfigError, match="top_k"):
+        detect(head, prior_set, top_k=-1)

@@ -126,6 +126,19 @@ def test_flipped_payload_byte_stays_framed(tmp_path):
     assert not np.array_equal(loaded["b/w"], store["b/w"])
 
 
+@pytest.mark.parametrize("half", [b"\x00\x7e", b"\x00\x7c", b"\x00\xfc"])  # NaN, +inf, -inf
+def test_non_finite_f16_weight_is_rejected(tmp_path, store, half):
+    path = tmp_path / "m16.tssd"
+    save_weights(store, path, dtype="f16")
+    raw = bytearray(path.read_bytes())
+    # third conv1/w value: after the name, dtype tag, rank, four dims and two values
+    offset = raw.index(b"conv1/w") + len(b"conv1/w") + 2 + 4 * 4 + 2 * 2
+    raw[offset:offset + 2] = half
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"non-finite value in blob 'conv1/w' at byte {offset}"):
+        load_weights(path)
+
+
 def test_manifest_validation(tmp_path):
     store = _small_store()
     path = tmp_path / "m.tssd"
