@@ -7,8 +7,9 @@ Pool layers contribute nothing. Sizes in MB are decimal (1e6 bytes).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .arch import ArchSpec, input_channel_counts, intermediate_shapes, param_manifest
+from .arch import ArchSpec, lower, param_manifest
 from .modelio import model_file_size
 
 
@@ -33,32 +34,15 @@ class AuditReport:
         return self.fp16_bytes / 1e6
 
 
-def _conv_cost(in_c, out_c, kernel, has_bias, out_h, out_w):
-    kh, kw = kernel
-    params = in_c * kh * kw * out_c + (out_c if has_bias else 0)
-    macs = out_h * out_w * out_c * in_c * kh * kw
-    return params, macs
-
-
 def audit(spec: ArchSpec, input_size: int | None = None) -> AuditReport:
     """Per-layer and total resource accounting for one input image."""
-    shapes = dict(intermediate_shapes(spec, input_size))
-    in_channels = input_channel_counts(spec)
     layers = []
-    for layer in spec.layers:
-        g = layer.geometry
-        c, h, w = shapes[layer.name]
-        if layer.kind == "conv":
-            params, macs = _conv_cost(in_channels[layer.name], g.out_channels,
-                                      g.kernel, g.has_bias, h, w)
-        elif layer.kind == "fire":
-            sp, sm = _conv_cost(in_channels[layer.name], g.squeeze, (1, 1), True, h, w)
-            e1p, e1m = _conv_cost(g.squeeze, g.expand1x1, (1, 1), True, h, w)
-            e3p, e3m = _conv_cost(g.squeeze, g.expand3x3, (3, 3), True, h, w)
-            params, macs = sp + e1p + e3p, sm + e1m + e3m
-        else:
-            params, macs = 0, 0
-        layers.append(LayerAudit(layer.name, params, macs, (c, h, w)))
+    for name, steps in lower(spec, input_size):
+        convs = [step for step in steps if step.op == "conv"]
+        params = sum(prod(shape) for step in convs for _, shape in step.blobs)
+        # one MAC per weight per output position
+        macs = sum(step.out_shape[1] * step.out_shape[2] * prod(step.blobs[0][1]) for step in convs)
+        layers.append(LayerAudit(name, params, macs, steps[-1].out_shape))
     total_params = sum(a.param_count for a in layers)
     total_macs = sum(a.mac_count for a in layers)
     manifest = param_manifest(spec)

@@ -1,5 +1,6 @@
 """Declarative description of the Tiny SSD graph: layer table, validation,
-static shape inference, the parameter manifest, and text/JSON rendering."""
+the lowering into primitive steps, static shape inference, the parameter
+manifest, and text/JSON rendering."""
 
 from __future__ import annotations
 
@@ -102,10 +103,6 @@ class ArchSpec:
     class_count: int = CLASS_COUNT
     input_size: int = INPUT_SIZE
     input_channels: int = INPUT_CHANNELS
-
-    @property
-    def detection_sources(self) -> tuple[str, ...]:
-        return tuple(h.source for h in self.heads)
 
     def layer(self, name: str) -> LayerSpec:
         for layer in self.layers:
@@ -274,66 +271,97 @@ def validate_canonical(spec: ArchSpec) -> None:
             )
 
 
+@dataclass(frozen=True)
+class Step:
+    """One primitive operation of a lowered layer: "conv", "pool" or "concat".
+    ``inputs`` name the layer's input or earlier steps of the same layer;
+    shapes are (channels, height, width), ``in_shape`` that of the first input."""
+
+    name: str
+    op: str
+    inputs: tuple[str, ...]
+    geometry: ConvSpec | PoolSpec | None
+    in_shape: tuple[int, int, int]
+    out_shape: tuple[int, int, int]
+
+    @property
+    def blobs(self) -> list[tuple[str, tuple[int, ...]]]:
+        """(name, shape) of the parameters a conv step owns: ``<name>/w``, then
+        ``<name>/b`` when it has a bias. Other steps own none."""
+        g = self.geometry
+        if self.op != "conv":
+            return []
+        w = (f"{self.name}/w", (g.out_channels, self.in_shape[0], *g.kernel))
+        return [w, (f"{self.name}/b", (g.out_channels,))] if g.has_bias else [w]
+
+
+def _step(name, op, inputs, g, known) -> Step:
+    """Build one step and record its output shape in known."""
+    c, h, w = known[inputs[0]]
+    if op == "conv":
+        shape = (g.out_channels, conv_out_extent(h, g.kernel[0], g.stride, g.pad),
+                 conv_out_extent(w, g.kernel[1], g.stride, g.pad))
+    elif op == "pool":
+        shape = (c, pool_out_extent(h, g.kernel[0], g.stride, g.rounding),
+                 pool_out_extent(w, g.kernel[1], g.stride, g.rounding))
+    elif op == "concat":
+        shape = (sum(known[i][0] for i in inputs), h, w)
+    else:
+        raise SpecError(f"{name}: unknown layer kind {op!r}")
+    if shape[1] < 1 or shape[2] < 1:
+        raise GeometryError(f"{name}: output extent {shape[1]}x{shape[2]} on {h}x{w} input")
+    known[name] = shape
+    return Step(name, op, inputs, g, (c, h, w), shape)
+
+
+def lower(spec: ArchSpec, input_size: int | None = None) -> list[tuple[str, tuple[Step, ...]]]:
+    """Each layer, in declared order, as its name and its primitive steps.
+
+    Conv and pool layers are one step of the same name. A fire layer is a
+    1x1 squeeze conv, then parallel 1x1 and pad-1 3x3 expand convs, joined by
+    a concat named after the layer; nothing else knows this. The last step's
+    output is the layer's output. Runs without weights; raises SpecError for
+    an undeclared input and GeometryError for a non-positive extent.
+    """
+    size = spec.input_size if input_size is None else input_size
+    shapes = {INPUT_NAME: (spec.input_channels, size, size)}
+    lowered = []
+    for layer in spec.layers:
+        upstream = layer.inputs[0]
+        if upstream not in shapes:
+            raise SpecError(
+                f"{layer.name}: input {upstream!r} is not declared earlier (malformed graph)"
+            )
+        known = {upstream: shapes[upstream]}  # sub-step shapes stay inside the layer
+        g = layer.geometry
+        if layer.kind == "fire":
+            squeeze, e1, e3 = (f"{layer.name}/{b}" for b in ("squeeze", "expand1x1", "expand3x3"))
+            steps = (
+                _step(squeeze, "conv", (upstream,), ConvSpec(g.squeeze, (1, 1), pad=0), known),
+                _step(e1, "conv", (squeeze,), ConvSpec(g.expand1x1, (1, 1), pad=0), known),
+                _step(e3, "conv", (squeeze,), ConvSpec(g.expand3x3, (3, 3), pad=1), known),
+                _step(layer.name, "concat", (e1, e3), None, known),
+            )
+        else:
+            steps = (_step(layer.name, layer.kind, (upstream,), g, known),)
+        shapes[layer.name] = steps[-1].out_shape
+        lowered.append((layer.name, steps))
+    return lowered
+
+
 def intermediate_shapes(spec: ArchSpec, input_size: int | None = None) -> list[tuple[str, tuple[int, int, int]]]:
     """Static (channels, height, width) output shape of every layer, in order.
 
     Runs without weights; raises GeometryError if any layer's output extent
     would be non-positive.
     """
-    size = spec.input_size if input_size is None else input_size
-    shapes: dict[str, tuple[int, int, int]] = {INPUT_NAME: (spec.input_channels, size, size)}
-    out = []
-    for layer in spec.layers:
-        c, h, w = shapes[layer.inputs[0]]
-        g = layer.geometry
-        if layer.kind == "conv":
-            oh = conv_out_extent(h, g.kernel[0], g.stride, g.pad)
-            ow = conv_out_extent(w, g.kernel[1], g.stride, g.pad)
-            shape = (g.out_channels, oh, ow)
-        elif layer.kind == "pool":
-            oh = pool_out_extent(h, g.kernel[0], g.stride, g.rounding)
-            ow = pool_out_extent(w, g.kernel[1], g.stride, g.rounding)
-            shape = (c, oh, ow)
-        else:  # fire: 1x1 and pad-1 3x3 sublayers preserve the spatial extents
-            shape = (g.out_channels, h, w)
-        if shape[1] < 1 or shape[2] < 1:
-            raise GeometryError(f"{layer.name}: output extent {shape[1]}x{shape[2]} on {h}x{w} input")
-        shapes[layer.name] = shape
-        out.append((layer.name, shape))
-    return out
-
-
-def input_channel_counts(spec: ArchSpec) -> dict[str, int]:
-    """Channel count seen by each layer, derived from static shape inference."""
-    shapes = dict(intermediate_shapes(spec))
-    shapes[INPUT_NAME] = (spec.input_channels, spec.input_size, spec.input_size)
-    return {layer.name: shapes[layer.inputs[0]][0] for layer in spec.layers}
+    return [(name, steps[-1].out_shape) for name, steps in lower(spec, input_size)]
 
 
 def param_manifest(spec: ArchSpec) -> list[tuple[str, tuple[int, ...]]]:
-    """Ordered (blob name, shape) list of every parameter the graph needs.
-
-    Conv layers own ``<name>/w`` and ``<name>/b``; fire layers own the same
-    pair under ``<name>/squeeze``, ``<name>/expand1x1`` and ``<name>/expand3x3``.
-    """
-    in_channels = input_channel_counts(spec)
-    manifest: list[tuple[str, tuple[int, ...]]] = []
-
-    def conv_blobs(prefix, out_c, in_c, kernel, has_bias):
-        manifest.append((f"{prefix}/w", (out_c, in_c, kernel[0], kernel[1])))
-        if has_bias:
-            manifest.append((f"{prefix}/b", (out_c,)))
-
-    for layer in spec.layers:
-        g = layer.geometry
-        if layer.kind == "conv":
-            conv_blobs(layer.name, g.out_channels, in_channels[layer.name], g.kernel, g.has_bias)
-        elif layer.kind == "fire":
-            in_c = in_channels[layer.name]
-            conv_blobs(f"{layer.name}/squeeze", g.squeeze, in_c, (1, 1), True)
-            conv_blobs(f"{layer.name}/expand1x1", g.expand1x1, g.squeeze, (1, 1), True)
-            conv_blobs(f"{layer.name}/expand3x3", g.expand3x3, g.squeeze, (3, 3), True)
-    return manifest
+    """Ordered (blob name, shape) list of every parameter the graph needs:
+    the blobs of every conv step, in step order."""
+    return [blob for _, steps in lower(spec) for step in steps for blob in step.blobs]
 
 
 def display_name(name: str) -> str:
@@ -353,15 +381,13 @@ def _filter_column(layer: LayerSpec) -> str:
 
 def describe_text(spec: ArchSpec) -> str:
     """Plain-text layer table (Type / Stride, Filter Shapes, Input Size)."""
-    shapes = dict(intermediate_shapes(spec))
-    shapes[INPUT_NAME] = (spec.input_channels, spec.input_size, spec.input_size)
     rows = [("Type / Stride", "Filter Shapes", "Input Size")]
-    for layer in spec.layers:
+    for layer, (_, steps) in zip(spec.layers, lower(spec)):
         label = display_name(layer.name)
         stride = getattr(layer.geometry, "stride", 1)
         if stride > 1:
             label += f" / s{stride}"
-        _, h, w = shapes[layer.inputs[0]]
+        _, h, w = steps[0].in_shape
         rows.append((label, _filter_column(layer), f"{h}x{w}"))
     widths = [max(len(r[i]) for r in rows) for i in range(3)]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .arch import INPUT_SIZE
 from .errors import FormatError, ShapeError
 from .tensor import Tensor
 
-INPUT_SIZE = 300
 # Per-channel means subtracted after the RGB -> BGR swap.
 BGR_MEANS = (104.0, 117.0, 123.0)
 

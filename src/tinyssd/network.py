@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import INPUT_NAME, ArchSpec, FireConfig
+from .arch import INPUT_NAME, ArchSpec, FireConfig, LayerSpec, lower
 from .errors import MissingBlobError, ShapeError, SpecError, TinySSDError
 from .ops import ConvParams, PoolParams, concat_channels, conv2d, maxpool2d, relu
 from .tensor import Tensor
@@ -33,17 +34,39 @@ def _blob(store, name: str) -> np.ndarray:
         raise MissingBlobError(f"weight blob {name!r} not found in store") from None
 
 
-def _conv_params(geometry, store, prefix: str) -> ConvParams:
-    bias = _blob(store, f"{prefix}/b") if geometry.has_bias else None
-    return ConvParams(
-        out_channels=geometry.out_channels,
-        kernel=geometry.kernel,
-        stride=geometry.stride,
-        pad=geometry.pad,
-        has_bias=geometry.has_bias,
-        weights=_blob(store, f"{prefix}/w"),
-        bias=bias,
-    )
+def _run_step(step, inputs: list[Tensor], store) -> Tensor:
+    g = step.geometry
+    if step.op == "conv":
+        weights = _blob(store, f"{step.name}/w")
+        bias = _blob(store, f"{step.name}/b") if g.has_bias else None
+        params = ConvParams(g.out_channels, g.kernel, g.stride, g.pad, g.has_bias, weights, bias)
+        out = conv2d(inputs[0], params, layer=step.name)
+        return relu(out) if g.activation == "relu" else out
+    if step.op == "pool":
+        return maxpool2d(inputs[0], PoolParams(g.kernel, g.stride, g.rounding), layer=step.name)
+    return concat_channels(inputs, layer=step.name)
+
+
+def activations(spec: ArchSpec, store, image: Tensor) -> dict[str, Tensor]:
+    """Run every layer in declared order and return all named outputs.
+
+    The outputs of a layer's inner steps, such as a fire module's squeeze,
+    are dropped when the layer finishes. Any failure is reported with the
+    offending layer's name.
+    """
+    computed = {INPUT_NAME: image}
+    # lowered at the image's own size, so the static extent checks match it
+    for name, steps in lower(spec, image.h):
+        scope = ChainMap({}, computed)
+        try:
+            for step in steps:
+                scope[step.name] = _run_step(step, [scope[i] for i in step.inputs], store)
+        except TinySSDError as e:
+            if str(e).startswith(name):
+                raise
+            raise type(e)(f"{name}: {e}") from None
+        computed[name] = scope[name]
+    return computed
 
 
 def fire_forward(x: Tensor, cfg: FireConfig, store, name: str = "fire") -> Tensor:
@@ -53,52 +76,9 @@ def fire_forward(x: Tensor, cfg: FireConfig, store, name: str = "fire") -> Tenso
     ``<name>/expand3x3`` weight/bias blobs. Spatial extents are preserved;
     output channels are expand1x1 + expand3x3.
     """
-    squeeze = ConvParams(cfg.squeeze, (1, 1), pad=0,
-                         weights=_blob(store, f"{name}/squeeze/w"),
-                         bias=_blob(store, f"{name}/squeeze/b"))
-    e1 = ConvParams(cfg.expand1x1, (1, 1), pad=0,
-                    weights=_blob(store, f"{name}/expand1x1/w"),
-                    bias=_blob(store, f"{name}/expand1x1/b"))
-    e3 = ConvParams(cfg.expand3x3, (3, 3), pad=1,
-                    weights=_blob(store, f"{name}/expand3x3/w"),
-                    bias=_blob(store, f"{name}/expand3x3/b"))
-    h = relu(conv2d(x, squeeze, layer=f"{name}/squeeze"))
-    a = relu(conv2d(h, e1, layer=f"{name}/expand1x1"))
-    b = relu(conv2d(h, e3, layer=f"{name}/expand3x3"))
-    return concat_channels([a, b], layer=name)
-
-
-def _run_layer(layer, x: Tensor, store) -> Tensor:
-    if layer.kind == "conv":
-        out = conv2d(x, _conv_params(layer.geometry, store, layer.name), layer=layer.name)
-        if layer.geometry.activation == "relu":
-            out = relu(out)
-        return out
-    if layer.kind == "pool":
-        g = layer.geometry
-        return maxpool2d(x, PoolParams(g.kernel, g.stride, g.rounding), layer=layer.name)
-    if layer.kind == "fire":
-        return fire_forward(x, layer.geometry, store, name=layer.name)
-    raise SpecError(f"{layer.name}: cannot execute layer kind {layer.kind!r}")
-
-
-def activations(spec: ArchSpec, store, image: Tensor) -> dict[str, Tensor]:
-    """Run every layer in declared order and return all named outputs.
-
-    Any failure is reported with the offending layer's name.
-    """
-    computed = {INPUT_NAME: image}
-    for layer in spec.layers:
-        upstream = layer.inputs[0]
-        if upstream not in computed:
-            raise SpecError(f"{layer.name}: input {upstream!r} not computed (malformed graph)")
-        try:
-            computed[layer.name] = _run_layer(layer, computed[upstream], store)
-        except TinySSDError as e:
-            if str(e).startswith(layer.name):
-                raise
-            raise type(e)(f"{layer.name}: {e}") from None
-    return computed
+    layer = LayerSpec(name, "fire", cfg, (INPUT_NAME,))
+    spec = ArchSpec(layers=(layer,), input_size=x.h, input_channels=x.c)
+    return activations(spec, store, x)[name]
 
 
 def _prior_rows(t: Tensor, width: int, name: str) -> np.ndarray:

@@ -65,7 +65,8 @@ def write_tnsr(t: Tensor, path) -> None:
 
 
 def read_tnsr(path) -> Tensor:
-    """Read a tensor written by :func:`write_tnsr`."""
+    """Read a tensor written by :func:`write_tnsr`; NaN or infinite values
+    are rejected, naming the byte offset of the first."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != TNSR_MAGIC:
@@ -82,4 +83,7 @@ def read_tnsr(path) -> Tensor:
             f"{path}: payload ends at byte {len(raw)}, expected {expected} for shape ({n},{c},{h},{w})"
         )
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=20)
+    finite = np.isfinite(data)
+    if not finite.all():
+        raise FormatError(f"{path}: non-finite value at byte {20 + 4 * int(np.argmin(finite))}")
     return Tensor(data.reshape(n, c, h, w))

@@ -1,16 +1,10 @@
 """PASCAL-VOC-protocol detection evaluation: greedy score-ordered matching
-at IoU >= 0.5 and 11-point interpolated average precision.
-
-Per-class evaluation is independent; TINYSSD_THREADS caps the worker pool
-(0 or unset = one worker per CPU). Results are merged in fixed class order,
-so parallelism never changes the output.
-"""
+at IoU >= 0.5 and 11-point interpolated average precision."""
 
 from __future__ import annotations
 
-import os
+import math
 import xml.etree.ElementTree as ET
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,15 +46,6 @@ class EvalResult:
     pr_curves: dict[str, tuple[tuple[float, float], ...]]
 
 
-def worker_count() -> int:
-    raw = os.environ.get("TINYSSD_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
 def parse_detection_lines(lines) -> list[DetectionRecord]:
     """Parse emission-format lines: image_id class_name score x0 y0 x1 y1."""
     records = []
@@ -79,6 +64,8 @@ def parse_detection_lines(lines) -> list[DetectionRecord]:
             box = tuple(float(v) for v in parts[3:7])
         except ValueError:
             raise FormatError(f"detection line {lineno}: non-numeric field") from None
+        if not all(map(math.isfinite, (score, *box))):
+            raise FormatError(f"detection line {lineno}: non-finite score or coordinate")
         records.append(DetectionRecord(image_id, class_name, score, box))
     return records
 
@@ -88,6 +75,17 @@ def _required(node, tag, path):
     if child is None or child.text is None:
         raise FormatError(f"{path}: missing required tag <{tag}>")
     return child.text.strip()
+
+
+def _number(node, tag, path, kind=float):
+    text = _required(node, tag, path)
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise FormatError(f"{path}: <{tag}> must be a finite {kind.__name__}, got {text!r}")
+    return value
 
 
 def parse_ground_truth(path, image_id: str | None = None) -> list[GroundTruthBox]:
@@ -103,8 +101,8 @@ def parse_ground_truth(path, image_id: str | None = None) -> list[GroundTruthBox
     size = root.find("size")
     if size is None:
         raise FormatError(f"{path}: missing required tag <size>")
-    width = int(_required(size, "width", path))
-    height = int(_required(size, "height", path))
+    width = _number(size, "width", path, int)
+    height = _number(size, "height", path, int)
     if width < 1 or height < 1:
         raise FormatError(f"{path}: non-positive image size {width}x{height}")
     boxes = []
@@ -113,14 +111,16 @@ def parse_ground_truth(path, image_id: str | None = None) -> list[GroundTruthBox
         if name not in VOC_CLASSES:
             raise FormatError(f"{path}: unknown class name {name!r}")
         difficult_node = obj.find("difficult")
-        difficult = difficult_node is not None and difficult_node.text.strip() == "1"
+        flag = "0" if difficult_node is None else (difficult_node.text or "").strip()
+        if flag not in ("0", "1"):
+            raise FormatError(f"{path}: <difficult> must be 0 or 1, got {flag!r}")
         bndbox = obj.find("bndbox")
         if bndbox is None:
             raise FormatError(f"{path}: missing required tag <bndbox>")
-        xmin = float(_required(bndbox, "xmin", path))
-        ymin = float(_required(bndbox, "ymin", path))
-        xmax = float(_required(bndbox, "xmax", path))
-        ymax = float(_required(bndbox, "ymax", path))
+        xmin = _number(bndbox, "xmin", path)
+        ymin = _number(bndbox, "ymin", path)
+        xmax = _number(bndbox, "xmax", path)
+        ymax = _number(bndbox, "ymax", path)
         box = (
             min(max((xmin - 1) / width, 0.0), 1.0),
             min(max((ymin - 1) / height, 0.0), 1.0),
@@ -129,7 +129,7 @@ def parse_ground_truth(path, image_id: str | None = None) -> list[GroundTruthBox
         )
         if box[0] > box[2] or box[1] > box[3]:
             raise FormatError(f"{path}: inverted box {box} for object {name!r}")
-        boxes.append(GroundTruthBox(image_id, name, box, difficult))
+        boxes.append(GroundTruthBox(image_id, name, box, flag == "1"))
     return boxes
 
 
@@ -218,12 +218,9 @@ def evaluate(detections, truths: list[GroundTruthBox], iou_match: float = 0.5,
         name for name in VOC_CLASSES
         if any(not g.difficult for g in gts_by_class[name])
     ]
-    with ThreadPoolExecutor(max_workers=max(1, min(worker_count(), len(evaluated) or 1))) as pool:
-        futures = {
-            name: pool.submit(_eval_class, dets_by_class[name], gts_by_class[name], iou_match)
-            for name in evaluated
-        }
-        results = {name: futures[name].result() for name in evaluated}
+    results = {
+        name: _eval_class(dets_by_class[name], gts_by_class[name], iou_match) for name in evaluated
+    }
 
     class_aps = {name: results[name][0] for name in evaluated}
     pr_curves = {name: results[name][1] for name in evaluated}

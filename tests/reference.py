@@ -6,6 +6,8 @@ plain loops rather than reusing any production code path.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -35,6 +37,42 @@ def conv2d_reference(x, weights, bias, stride, pad):
                                     continue
                                 acc += x[b, ch, y, xx] * weights[o, ch, dy, dx]
                     out[b, o, i, j] = acc + (bias[o] if bias is not None else 0.0)
+    return out
+
+
+def maxpool_reference(x, kernel, stride, rounding):
+    """Max over each pooling window via explicit loops.
+
+    Floor mode keeps the windows that fit inside the input. Ceil mode rounds
+    the window count up, drops a last window that would start outside the
+    input, and clips border windows to the input. Returns None when the
+    geometry leaves no window.
+    """
+    x = np.asarray(x)
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    rnd = math.ceil if rounding == "ceil" else math.floor
+
+    def count(extent, k):
+        out = rnd((extent - k) / stride) + 1
+        if rounding == "ceil" and (out - 1) * stride >= extent:
+            out -= 1
+        return out
+
+    out_h, out_w = count(h, kh), count(w, kw)
+    if out_h < 1 or out_w < 1:
+        return None
+    out = np.empty((n, c, out_h, out_w), dtype=x.dtype)
+    for b in range(n):
+        for ch in range(c):
+            for i in range(out_h):
+                for j in range(out_w):
+                    best = None
+                    for y in range(i * stride, min(i * stride + kh, h)):
+                        for xx in range(j * stride, min(j * stride + kw, w)):
+                            if best is None or x[b, ch, y, xx] > best:
+                                best = x[b, ch, y, xx]
+                    out[b, ch, i, j] = best
     return out
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,18 @@ def test_param_manifest_shapes(spec):
     assert manifest["conv13_2_mbox_loc/w"] == (16, 85, 3, 3)
     # one w and one b per conv sublayer: 1 stem + 10 fires * 3 + 4 aux + 12 heads
     assert len(manifest) == 2 * (1 + 30 + 4 + 12)
+
+
+def test_param_manifest_order_is_pinned(spec):
+    """The manifest order is the TSSD blob order existing model files use."""
+    manifest = param_manifest(spec)
+    digest = hashlib.sha256(repr(manifest).encode()).hexdigest()
+    assert digest == "209d97705fb3a4b28d02f6aac33345842bbecce88ea3c232fb9ebc21d247d371"
+    assert [name for name, _ in manifest[2:8]] == [
+        "fire1/squeeze/w", "fire1/squeeze/b",
+        "fire1/expand1x1/w", "fire1/expand1x1/b",
+        "fire1/expand3x3/w", "fire1/expand3x3/b",
+    ]
 
 
 def test_manifest_element_count_matches_direct_formula(spec):

@@ -208,3 +208,42 @@ def test_detect_nan_weight_is_format_error(model_path, ppm_path, tmp_path, capsy
     assert captured.out == ""
     assert f"non-finite value in blob 'conv1/w' at byte {offset}" in captured.err
     assert "Traceback" not in captured.err
+
+
+GOOD_LINE = "scene dog 0.900000 0.100000 0.100000 0.500000 0.500000\n"
+
+
+@pytest.mark.parametrize("annotation, detections, message", [
+    (ANNOTATION.replace("<width>100<", "<width>wide<"), GOOD_LINE, "<width> must be a finite int"),
+    (ANNOTATION.replace("<height>100<", "<height>1e2<"), GOOD_LINE, "<height> must be a finite int"),
+    (ANNOTATION.replace("<xmax>50<", "<xmax>5O<"), GOOD_LINE, "<xmax> must be a finite float"),
+    (ANNOTATION.replace("<ymin>11<", "<ymin>nan<"), GOOD_LINE, "<ymin> must be a finite float"),
+    (ANNOTATION.replace("<difficult>0</difficult>", "<difficult/>"), GOOD_LINE,
+     "<difficult> must be 0 or 1"),
+    (ANNOTATION, "scene dog nan 0.1 0.1 0.5 0.5\n", "detection line 1: non-finite"),
+    (ANNOTATION, GOOD_LINE + "scene dog 0.5 0.1 inf 0.5 0.5\n", "detection line 2: non-finite"),
+], ids=["width", "height", "xmax", "ymin-nan", "difficult-empty", "score-nan", "coord-inf"])
+def test_eval_bad_input_is_format_error(tmp_path, capsys, annotation, detections, message):
+    ann_dir = tmp_path / "ann"
+    ann_dir.mkdir()
+    (ann_dir / "scene.xml").write_text(annotation)
+    det_file = tmp_path / "dets.txt"
+    det_file.write_text(detections)
+    assert main(["eval", "--detections", str(det_file), "--annotations", str(ann_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_detect_non_finite_tensor_is_format_error(model_path, tmp_path, capsys):
+    data = np.zeros((1, 3, 300, 300), dtype=np.float32)
+    data[0, 0, 10, 10] = np.inf
+    path = tmp_path / "inf.tnsr"
+    write_tnsr(Tensor(data), path)
+    assert main(["detect", "--model", str(model_path), "--image", str(path),
+                 "--conf", "0.01"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"non-finite value at byte {20 + 4 * (10 * 300 + 10)}" in captured.err
+    assert "Traceback" not in captured.err

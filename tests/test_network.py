@@ -96,6 +96,8 @@ def test_static_shapes_agree_with_forward(spec, store, test_image):
     acts = activations(spec, store, test_image)
     for name, (c, h, w) in intermediate_shapes(spec):
         assert acts[name].shape == (1, c, h, w), name
+    # layer outputs only: a fire module's inner steps are not kept
+    assert set(acts) == {"image"} | {layer.name for layer in spec.layers}
 
 
 def test_forward_rejects_wrong_input_shape(spec, store):

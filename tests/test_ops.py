@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinyssd.errors import GeometryError, ShapeError
 from tinyssd.ops import (
@@ -15,7 +17,7 @@ from tinyssd.ops import (
 )
 from tinyssd.tensor import Tensor
 
-from reference import conv2d_reference
+from reference import conv2d_reference, maxpool_reference
 
 
 def _conv(out_c, in_c, k, stride=1, pad=0, rng=None, bias=True):
@@ -65,6 +67,32 @@ def test_conv_randomized_against_reference():
         got = conv2d(Tensor(x), p).data
         want = conv2d_reference(x, p.weights, p.bias, stride, pad)
         np.testing.assert_allclose(got, want, atol=1e-5)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2),
+    c=st.integers(1, 3),
+    oc=st.integers(1, 3),
+    h=st.integers(1, 6),
+    w=st.integers(1, 6),
+    kernel=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    stride=st.integers(1, 3),
+    pad=st.integers(0, 2),
+)
+def test_conv_equals_reference(seed, n, c, oc, h, w, kernel, stride, pad):
+    """Includes kernels larger than the unpadded input."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0, 1, (n, c, h, w)).astype(np.float32)
+    p = ConvParams(oc, kernel, stride=stride, pad=pad,
+                   weights=rng.normal(0, 0.5, (oc, c, *kernel)), bias=rng.normal(0, 0.5, oc))
+    if h + 2 * pad < kernel[0] or w + 2 * pad < kernel[1]:
+        with pytest.raises(GeometryError):
+            conv2d(Tensor(x), p)
+    else:
+        want = conv2d_reference(x, p.weights, p.bias, stride, pad)
+        np.testing.assert_allclose(conv2d(Tensor(x), p).data, want, atol=1e-5)
 
 
 def test_conv_identity_kernel_is_exact():
@@ -131,6 +159,27 @@ def test_pool_window_bounds_property():
         out = maxpool2d(Tensor(x), PoolParams((k, k), stride=stride, rounding=rounding))
         assert out.data.max() <= x.max()
         assert out.data.min() >= x.min()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2),
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    kernel=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    stride=st.integers(1, 3),
+    rounding=st.sampled_from(["ceil", "floor"]),
+)
+def test_pool_equals_reference(seed, n, h, w, kernel, stride, rounding):
+    x = np.random.default_rng(seed).normal(0, 1, (n, 2, h, w)).astype(np.float32)
+    want = maxpool_reference(x, kernel, stride, rounding)
+    p = PoolParams(kernel, stride=stride, rounding=rounding)
+    if want is None:
+        with pytest.raises(GeometryError):
+            maxpool2d(Tensor(x), p)
+    else:
+        assert np.array_equal(maxpool2d(Tensor(x), p).data, want)
 
 
 def test_pool_degenerate_output_is_geometry_error():

@@ -43,3 +43,15 @@ def test_tnsr_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(FormatError, match="byte"):
         read_tnsr(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tnsr_non_finite_payload_names_byte(tmp_path, bad):
+    data = np.ones((1, 2, 3, 4), dtype=np.float32)
+    data[0, 1, 2, 0] = bad
+    data[0, 1, 2, 3] = bad
+    path = tmp_path / "bad.tnsr"
+    write_tnsr(Tensor(data), path)
+    first = 1 * 12 + 2 * 4 + 0
+    with pytest.raises(FormatError, match=f"non-finite value at byte {20 + 4 * first}$"):
+        read_tnsr(path)

@@ -9,7 +9,6 @@ from tinyssd.voceval import (
     parse_detection_lines,
     parse_ground_truth,
     pr_curve_csv,
-    worker_count,
 )
 
 from reference import ap_reference, map_reference, random_eval_instance
@@ -88,6 +87,10 @@ def test_parse_detection_lines_errors():
         parse_detection_lines(["img unicorn 0.5 0 0 1 1"])
     with pytest.raises(FormatError, match="non-numeric"):
         parse_detection_lines(["img dog high 0 0 1 1"])
+    with pytest.raises(FormatError, match="line 2: non-finite"):
+        parse_detection_lines(["img dog 0.5 0 0 1 1", "img dog nan 0 0 1 1"])
+    with pytest.raises(FormatError, match="line 1: non-finite"):
+        parse_detection_lines(["img dog 0.5 0 -inf 1 1"])
     assert parse_detection_lines(["", "  "]) == []
 
 
@@ -185,21 +188,3 @@ def test_pr_curve_csv():
     csv = pr_curve_csv(evaluate(lines, gt))
     assert csv.splitlines()[0] == "class,recall,precision"
     assert "dog,1.000000,1.000000" in csv
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("TINYSSD_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("TINYSSD_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("TINYSSD_THREADS", "lots")
-    assert worker_count() >= 1
-    monkeypatch.delenv("TINYSSD_THREADS")
-    assert worker_count() >= 1
-
-
-def test_evaluate_respects_thread_cap(monkeypatch):
-    monkeypatch.setenv("TINYSSD_THREADS", "1")
-    gt = [GroundTruthBox("a", "dog", (0.1, 0.1, 0.5, 0.5))]
-    lines = [_line("a", "dog", 1.0, (0.1, 0.1, 0.5, 0.5))]
-    assert evaluate(lines, gt).mean_ap == pytest.approx(1.0)
