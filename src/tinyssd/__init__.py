@@ -38,7 +38,7 @@ from .modelio import (
     save_weights,
 )
 from .network import HeadOutput, activations, fire_forward, forward
-from .ops import ConvParams, PoolParams, concat_channels, conv2d, maxpool2d, relu, softmax_rows
+from .ops import concat_channels, conv2d, maxpool2d, relu, softmax_rows
 from .priors import (
     Detection,
     PriorConfig,

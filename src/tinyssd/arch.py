@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import GeometryError, SpecError
-from .ops import conv_out_extent, pool_out_extent
+from .ops import ConvSpec, PoolSpec, conv_out_extent, pool_out_extent
 
 VOC_CLASSES = (
     "aeroplane", "bicycle", "bird", "boat", "bottle",
@@ -37,39 +37,6 @@ class FireConfig:
     @property
     def out_channels(self) -> int:
         return self.expand1x1 + self.expand3x3
-
-
-@dataclass(frozen=True)
-class ConvSpec:
-    """Geometry of one convolution layer (weights live in the WeightStore)."""
-
-    out_channels: int
-    kernel: tuple[int, int] = (3, 3)
-    stride: int = 1
-    pad: int = 1
-    has_bias: bool = True
-    activation: str = "relu"  # "relu" or "none"
-
-    def __post_init__(self):
-        if self.out_channels < 1 or min(self.kernel) < 1 or self.stride < 1 or self.pad < 0:
-            raise SpecError(f"invalid conv geometry: {self}")
-        if self.activation not in ("relu", "none"):
-            raise SpecError(f"unknown activation {self.activation!r}")
-
-
-@dataclass(frozen=True)
-class PoolSpec:
-    """Geometry of one max-pooling layer."""
-
-    kernel: tuple[int, int] = (3, 3)
-    stride: int = 2
-    rounding: str = "ceil"
-
-    def __post_init__(self):
-        if min(self.kernel) < 1 or self.stride < 1:
-            raise SpecError(f"invalid pool geometry: {self}")
-        if self.rounding not in ("ceil", "floor"):
-            raise SpecError(f"pool rounding must be 'ceil' or 'floor', got {self.rounding!r}")
 
 
 @dataclass(frozen=True)

@@ -125,8 +125,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with open(args.detections, "r", encoding="utf-8") as f:
-        lines = f.readlines()
+    lines = voceval.read_detection_file(args.detections)
     truths = voceval.load_annotation_dir(args.annotations)
     result = voceval.evaluate(lines, truths, iou_match=args.iou_match)
     sys.stdout.write(voceval.format_eval_report(result))

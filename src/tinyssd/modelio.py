@@ -8,6 +8,7 @@ load and all compute stays full precision.
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 
@@ -23,6 +24,7 @@ FP16_MAX = 65504.0
 _DTYPE_TAGS = {"f16": 16, "f32": 32}
 _TAG_DTYPES = {16: "f16", 32: "f32"}
 _ITEM_SIZE = {"f16": 2, "f32": 4}
+_MAX_RANK = 32  # numpy's array rank limit before 2.0
 
 
 class WeightStore:
@@ -91,8 +93,7 @@ def quantize_fp16(store: WeightStore) -> WeightStore:
 
 
 def _record_size(name: str, shape: tuple[int, ...], dtype: str) -> int:
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    return 2 + len(name.encode()) + 1 + 1 + 4 * len(shape) + _ITEM_SIZE[dtype] * count
+    return 2 + len(name.encode()) + 1 + 1 + 4 * len(shape) + _ITEM_SIZE[dtype] * math.prod(shape)
 
 
 def model_file_size(manifest, dtype: str) -> int:
@@ -159,12 +160,14 @@ def load_weights(path, manifest=None) -> WeightStore:
         offset += 2
         if tag not in _TAG_DTYPES:
             fail(offset - 2, f"unknown dtype tag {tag} for blob {name!r}")
+        if rank > _MAX_RANK:
+            fail(offset - 1, f"rank {rank} above {_MAX_RANK} for blob {name!r}")
         dtype = _TAG_DTYPES[tag]
         if offset + 4 * rank > len(raw):
             fail(offset, f"truncated shape for blob {name!r}")
         shape = struct.unpack_from(f"<{rank}I", raw, offset)
         offset += 4 * rank
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        count = math.prod(shape)  # exact: a numpy product wraps around on huge dims
         nbytes = count * _ITEM_SIZE[dtype]
         if offset + nbytes > len(raw):
             fail(offset, f"truncated payload for blob {name!r}")
@@ -209,7 +212,7 @@ def init_random(spec: ArchSpec, seed: int) -> WeightStore:
         if name.endswith("/b"):
             store.add(name, np.zeros(shape, dtype=np.float32))
         else:
-            fan_in = int(np.prod(shape[1:], dtype=np.int64))
+            fan_in = math.prod(shape[1:])
             scale = np.sqrt(2.0 / fan_in)
             store.add(name, rng.normal(0.0, scale, size=shape).astype(np.float32))
     return store

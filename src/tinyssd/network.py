@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import INPUT_NAME, ArchSpec, FireConfig, LayerSpec, lower
-from .errors import MissingBlobError, ShapeError, SpecError, TinySSDError
-from .ops import ConvParams, PoolParams, concat_channels, conv2d, maxpool2d, relu
+from .errors import ShapeError, SpecError, TinySSDError
+from .ops import concat_channels, conv2d, maxpool2d, relu
 from .tensor import Tensor
 
 
@@ -27,23 +27,13 @@ class HeadOutput:
         return self.loc.shape[1]
 
 
-def _blob(store, name: str) -> np.ndarray:
-    try:
-        return store[name]
-    except KeyError:
-        raise MissingBlobError(f"weight blob {name!r} not found in store") from None
-
-
 def _run_step(step, inputs: list[Tensor], store) -> Tensor:
     g = step.geometry
     if step.op == "conv":
-        weights = _blob(store, f"{step.name}/w")
-        bias = _blob(store, f"{step.name}/b") if g.has_bias else None
-        params = ConvParams(g.out_channels, g.kernel, g.stride, g.pad, g.has_bias, weights, bias)
-        out = conv2d(inputs[0], params, layer=step.name)
+        out = conv2d(inputs[0], g, *(store[n] for n, _ in step.blobs), layer=step.name)
         return relu(out) if g.activation == "relu" else out
     if step.op == "pool":
-        return maxpool2d(inputs[0], PoolParams(g.kernel, g.stride, g.rounding), layer=step.name)
+        return maxpool2d(inputs[0], g, layer=step.name)
     return concat_channels(inputs, layer=step.name)
 
 

@@ -1,4 +1,5 @@
-"""The five numeric kernels every layer of the network is built from.
+"""The five numeric kernels every layer of the network is built from, and
+the conv and pooling geometry they take.
 
 conv2d uses an im2col + matmul formulation with float64 accumulation;
 outputs are float32. All functions are pure.
@@ -6,71 +7,46 @@ outputs are float32. All functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GeometryError, ShapeError
+from .errors import GeometryError, ShapeError, SpecError
 from .tensor import Tensor
 
 
 @dataclass(frozen=True)
-class ConvParams:
-    """Weights and geometry for one convolution.
-
-    weights has shape (out_channels, in_channels, kh, kw); bias has shape
-    (out_channels,) and is all-zero when has_bias is false.
-    """
+class ConvSpec:
+    """Geometry of one convolution layer (weights live in the WeightStore)."""
 
     out_channels: int
-    kernel: tuple[int, int]
+    kernel: tuple[int, int] = (3, 3)
     stride: int = 1
-    pad: int = 0
+    pad: int = 1
     has_bias: bool = True
-    weights: np.ndarray = field(default=None, repr=False)
-    bias: np.ndarray = field(default=None, repr=False)
+    activation: str = "relu"  # "relu" or "none"
 
     def __post_init__(self):
-        kh, kw = self.kernel
-        if self.out_channels < 1 or kh < 1 or kw < 1 or self.stride < 1 or self.pad < 0:
-            raise ShapeError(f"invalid conv geometry: {self}")
-        if self.weights is None:
-            raise ShapeError("conv weights are required")
-        w = np.ascontiguousarray(self.weights, dtype=np.float32)
-        if w.ndim != 4 or w.shape[0] != self.out_channels or w.shape[2:] != (kh, kw):
-            raise ShapeError(
-                f"conv weights shape {w.shape} inconsistent with "
-                f"{self.out_channels} filters of {kh}x{kw}"
-            )
-        if self.bias is None:
-            b = np.zeros(self.out_channels, dtype=np.float32)
-        else:
-            b = np.ascontiguousarray(self.bias, dtype=np.float32)
-        if b.shape != (self.out_channels,):
-            raise ShapeError(f"conv bias shape {b.shape}, expected ({self.out_channels},)")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
-
-    @property
-    def in_channels(self) -> int:
-        return self.weights.shape[1]
+        if self.out_channels < 1 or min(self.kernel) < 1 or self.stride < 1 or self.pad < 0:
+            raise SpecError(f"invalid conv geometry: {self}")
+        if self.activation not in ("relu", "none"):
+            raise SpecError(f"unknown activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
-class PoolParams:
-    """Max-pooling geometry. rounding selects the output-size rule."""
+class PoolSpec:
+    """Geometry of one max-pooling layer."""
 
-    kernel: tuple[int, int]
-    stride: int = 1
+    kernel: tuple[int, int] = (3, 3)
+    stride: int = 2
     rounding: str = "ceil"
 
     def __post_init__(self):
-        kh, kw = self.kernel
-        if kh < 1 or kw < 1 or self.stride < 1:
-            raise ShapeError(f"invalid pool geometry: {self}")
+        if min(self.kernel) < 1 or self.stride < 1:
+            raise SpecError(f"invalid pool geometry: {self}")
         if self.rounding not in ("ceil", "floor"):
-            raise ShapeError(f"pool rounding must be 'ceil' or 'floor', got {self.rounding!r}")
+            raise SpecError(f"pool rounding must be 'ceil' or 'floor', got {self.rounding!r}")
 
 
 def conv_out_extent(in_extent: int, kernel: int, stride: int, pad: int) -> int:
@@ -92,49 +68,58 @@ def pool_out_extent(in_extent: int, kernel: int, stride: int, rounding: str) -> 
     return (in_extent - kernel) // stride + 1
 
 
-def conv2d(x: Tensor, p: ConvParams, layer: str = "conv") -> Tensor:
-    """Cross-correlate x with p's filters over a zero-padded input."""
+def conv2d(x: Tensor, g: ConvSpec, weights, bias=None, layer: str = "conv") -> Tensor:
+    """Cross-correlate x with (out_channels, in_channels, kh, kw) weights over a
+    zero-padded input; a missing bias adds zeros."""
     n, c, h, w = x.shape
-    kh, kw = p.kernel
-    if c != p.in_channels:
-        raise ShapeError(f"{layer}: input has {c} channels, weights expect {p.in_channels}")
-    out_h = conv_out_extent(h, kh, p.stride, p.pad)
-    out_w = conv_out_extent(w, kw, p.stride, p.pad)
+    kh, kw = g.kernel
+    oc = g.out_channels
+    weights = np.asarray(weights, dtype=np.float32)
+    bias = np.zeros(oc, dtype=np.float32) if bias is None else np.asarray(bias, dtype=np.float32)
+    if weights.shape != (oc, c, kh, kw):
+        raise ShapeError(
+            f"{layer}: weights shape {weights.shape}, expected {(oc, c, kh, kw)} "
+            f"for {oc} filters of {kh}x{kw} over {c} input channels"
+        )
+    if bias.shape != (oc,):
+        raise ShapeError(f"{layer}: bias shape {bias.shape}, expected ({oc},)")
+    out_h = conv_out_extent(h, kh, g.stride, g.pad)
+    out_w = conv_out_extent(w, kw, g.stride, g.pad)
     if out_h < 1 or out_w < 1:
         raise GeometryError(
-            f"{layer}: kernel {kh}x{kw} stride {p.stride} pad {p.pad} on {h}x{w} input "
+            f"{layer}: kernel {kh}x{kw} stride {g.stride} pad {g.pad} on {h}x{w} input "
             f"gives non-positive output {out_h}x{out_w}"
         )
 
     data = x.data.astype(np.float64)
-    if p.pad:
-        data = np.pad(data, ((0, 0), (0, 0), (p.pad, p.pad), (p.pad, p.pad)))
-    windows = sliding_window_view(data, (kh, kw), axis=(2, 3))[:, :, :: p.stride, :: p.stride]
+    if g.pad:
+        data = np.pad(data, ((0, 0), (0, 0), (g.pad, g.pad), (g.pad, g.pad)))
+    windows = sliding_window_view(data, (kh, kw), axis=(2, 3))[:, :, :: g.stride, :: g.stride]
     # (n, c, oh, ow, kh, kw) -> (n, c*kh*kw, oh*ow)
     cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
-    filt = p.weights.reshape(p.out_channels, c * kh * kw).astype(np.float64)
-    out = np.matmul(filt, cols).reshape(n, p.out_channels, out_h, out_w)
-    out += p.bias.astype(np.float64)[:, None, None]
+    filt = weights.reshape(oc, c * kh * kw).astype(np.float64)
+    out = np.matmul(filt, cols).reshape(n, oc, out_h, out_w)
+    out += bias.astype(np.float64)[:, None, None]
     return Tensor(out.astype(np.float32))
 
 
-def maxpool2d(x: Tensor, p: PoolParams, layer: str = "pool") -> Tensor:
+def maxpool2d(x: Tensor, g: PoolSpec, layer: str = "pool") -> Tensor:
     """Max over each (possibly border-clipped) pooling window."""
     n, c, h, w = x.shape
-    kh, kw = p.kernel
-    out_h = pool_out_extent(h, kh, p.stride, p.rounding)
-    out_w = pool_out_extent(w, kw, p.stride, p.rounding)
+    kh, kw = g.kernel
+    out_h = pool_out_extent(h, kh, g.stride, g.rounding)
+    out_w = pool_out_extent(w, kw, g.stride, g.rounding)
     if out_h < 1 or out_w < 1:
         raise GeometryError(
-            f"{layer}: kernel {kh}x{kw} stride {p.stride} on {h}x{w} input "
+            f"{layer}: kernel {kh}x{kw} stride {g.stride} on {h}x{w} input "
             f"gives non-positive output {out_h}x{out_w}"
         )
     out = np.empty((n, c, out_h, out_w), dtype=np.float32)
     for i in range(out_h):
-        y0 = i * p.stride
+        y0 = i * g.stride
         y1 = min(y0 + kh, h)
         for j in range(out_w):
-            x0 = j * p.stride
+            x0 = j * g.stride
             x1 = min(x0 + kw, w)
             out[:, :, i, j] = x.data[:, :, y0:y1, x0:x1].max(axis=(2, 3))
     return Tensor(out)

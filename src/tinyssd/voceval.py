@@ -70,6 +70,20 @@ def parse_detection_lines(lines) -> list[DetectionRecord]:
     return records
 
 
+def read_detection_file(path) -> list[str]:
+    """The lines of a UTF-8 detection file, with universal newlines."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.readlines()
+    except UnicodeDecodeError:
+        pass
+    try:  # the streaming decoder counts offsets within its chunk, so decode the whole file
+        Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: invalid UTF-8 at byte {e.start}") from None
+    raise FormatError(f"{path}: changed while being read")
+
+
 def _required(node, tag, path):
     child = node.find(tag)
     if child is None or child.text is None:
@@ -197,12 +211,17 @@ def evaluate(detections, truths: list[GroundTruthBox], iou_match: float = 0.5,
              protocol: str = "voc2007") -> EvalResult:
     """Score emission-format detection lines against ground truth.
 
-    ``detections`` may be an iterable of lines or of DetectionRecord.
+    ``detections`` may be an iterable of lines or of DetectionRecord, not a
+    mix of both.
     """
     if protocol != "voc2007":
         raise FormatError(f"unsupported protocol {protocol!r}; only 'voc2007' is implemented")
     records = list(detections)
-    if records and not isinstance(records[0], DetectionRecord):
+    first = bool(records) and isinstance(records[0], DetectionRecord)
+    for i, rec in enumerate(records):
+        if isinstance(rec, DetectionRecord) != first:
+            raise FormatError(f"detections mix lines and records: item {i} differs from item 0")
+    if not first:
         records = parse_detection_lines(records)
 
     dets_by_class: dict[str, list[DetectionRecord]] = {name: [] for name in VOC_CLASSES}

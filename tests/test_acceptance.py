@@ -97,9 +97,9 @@ def test_criterion_5_kernel_oracles(prior_set):
         stride = int(rng.integers(1, 3))
         pad = int(rng.integers(0, 3))
         x = rng.normal(0, 1, (n, c, h, w)).astype(np.float32)
-        p = _conv(oc, c, k, stride=stride, pad=pad, rng=rng)
-        got = conv2d(Tensor(x), p).data
-        want = reference.conv2d_reference(x, p.weights, p.bias, stride, pad)
+        g, wts, b = _conv(oc, c, k, stride=stride, pad=pad, rng=rng)
+        got = conv2d(Tensor(x), g, wts, b).data
+        want = reference.conv2d_reference(x, wts, b, stride, pad)
         conv_worst = max(conv_worst, float(np.abs(got - want).max()))
     conv_ok = conv_worst <= 1e-5
 

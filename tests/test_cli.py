@@ -8,6 +8,8 @@ from tinyssd.modelio import load_weights, quantize_fp16
 from tinyssd.tensor import Tensor, write_tnsr
 from tinyssd.voceval import parse_detection_lines
 
+from test_modelio import _huge_shape_model
+
 ANNOTATION = """<annotation>
   <size><width>100</width><height>100</height></size>
   <object>
@@ -246,4 +248,27 @@ def test_detect_non_finite_tensor_is_format_error(model_path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"non-finite value at byte {20 + 4 * (10 * 300 + 10)}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_quantize_huge_blob_shape_is_format_error(tmp_path, capsys):
+    bad = tmp_path / "huge.tssd"
+    _huge_shape_model(bad)
+    assert main(["quantize", "--in", str(bad), "--out", str(tmp_path / "q.tssd")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "truncated payload for blob 'big' at byte 35" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_eval_non_utf8_detections_is_format_error(tmp_path, capsys):
+    ann_dir = tmp_path / "ann"
+    ann_dir.mkdir()
+    (ann_dir / "scene.xml").write_text(ANNOTATION)
+    det_file = tmp_path / "dets.txt"
+    det_file.write_bytes(GOOD_LINE.encode() + b"\xff\xfe\n")
+    assert main(["eval", "--detections", str(det_file), "--annotations", str(ann_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{det_file}: invalid UTF-8 at byte {len(GOOD_LINE)}" in captured.err
     assert "Traceback" not in captured.err

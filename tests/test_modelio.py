@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,28 @@ def test_load_truncation_reports_offset(tmp_path):
     save_weights(store, path, dtype="f32")
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(FormatError, match="truncated"):
+        load_weights(path)
+
+
+def _huge_shape_model(path):
+    """One f16 blob 'big' whose four u32 dims multiply past 2**64."""
+    path.write_bytes(b"TSSD" + struct.pack("<II", 1, 1) + struct.pack("<H", 3) + b"big"
+                     + struct.pack("<BB4I", 16, 4, *(2**32 - 1,) * 4) + b"\x00" * 8)
+
+
+def test_load_huge_shape_is_truncated_payload(tmp_path):
+    path = tmp_path / "huge.tssd"
+    _huge_shape_model(path)
+    with pytest.raises(FormatError, match="truncated payload for blob 'big' at byte 35"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("rank", [33, 65])
+def test_load_rank_above_limit_is_format_error(tmp_path, rank):
+    path = tmp_path / "deep.tssd"
+    path.write_bytes(b"TSSD" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"x"
+                     + struct.pack(f"<BB{rank}I", 32, rank, 0, *(1,) * (rank - 1)))
+    with pytest.raises(FormatError, match=f"rank {rank} above 32 for blob 'x' at byte 16"):
         load_weights(path)
 
 

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from tinyssd.errors import GeometryError, ShapeError
 from tinyssd.ops import (
-    ConvParams,
-    PoolParams,
+    ConvSpec,
+    PoolSpec,
     concat_channels,
     conv2d,
     conv_out_extent,
@@ -24,20 +24,19 @@ def _conv(out_c, in_c, k, stride=1, pad=0, rng=None, bias=True):
     rng = rng or np.random.default_rng(0)
     w = rng.normal(0, 0.5, (out_c, in_c, k, k)).astype(np.float32)
     b = rng.normal(0, 0.5, out_c).astype(np.float32) if bias else None
-    return ConvParams(out_c, (k, k), stride=stride, pad=pad, has_bias=bias, weights=w, bias=b)
+    return ConvSpec(out_c, (k, k), stride=stride, pad=pad, has_bias=bias), w, b
 
 
 def test_conv_stem_geometry():
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(0, 1, (1, 3, 300, 300)).astype(np.float32))
-    out = conv2d(x, _conv(57, 3, 3, stride=2, pad=0, rng=rng))
+    out = conv2d(x, *_conv(57, 3, 3, stride=2, pad=0, rng=rng))
     assert out.shape == (1, 57, 149, 149)
 
 
 def test_conv_all_ones_window():
     x = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
-    p = ConvParams(1, (3, 3), weights=np.ones((1, 1, 3, 3)), bias=np.zeros(1))
-    out = conv2d(x, p)
+    out = conv2d(x, ConvSpec(1, (3, 3), pad=0), np.ones((1, 1, 3, 3)), np.zeros(1))
     assert out.shape == (1, 1, 1, 1)
     assert out.data[0, 0, 0, 0] == 9.0
 
@@ -45,9 +44,9 @@ def test_conv_all_ones_window():
 def test_conv_matches_loop_reference():
     rng = np.random.default_rng(2)
     x = rng.normal(0, 1, (1, 4, 7, 7)).astype(np.float32)
-    p = _conv(5, 4, 3, stride=1, pad=1, rng=rng)
-    got = conv2d(Tensor(x), p).data
-    want = conv2d_reference(x, p.weights, p.bias, stride=1, pad=1)
+    g, wts, b = _conv(5, 4, 3, stride=1, pad=1, rng=rng)
+    got = conv2d(Tensor(x), g, wts, b).data
+    want = conv2d_reference(x, wts, b, stride=1, pad=1)
     np.testing.assert_allclose(got, want, atol=1e-5)
 
 
@@ -63,9 +62,9 @@ def test_conv_randomized_against_reference():
         stride = int(rng.integers(1, 3))
         pad = int(rng.integers(0, 3))
         x = rng.normal(0, 1, (n, c, h, w)).astype(np.float32)
-        p = _conv(oc, c, k, stride=stride, pad=pad, rng=rng)
-        got = conv2d(Tensor(x), p).data
-        want = conv2d_reference(x, p.weights, p.bias, stride, pad)
+        g, wts, b = _conv(oc, c, k, stride=stride, pad=pad, rng=rng)
+        got = conv2d(Tensor(x), g, wts, b).data
+        want = conv2d_reference(x, wts, b, stride, pad)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
 
@@ -85,47 +84,47 @@ def test_conv_equals_reference(seed, n, c, oc, h, w, kernel, stride, pad):
     """Includes kernels larger than the unpadded input."""
     rng = np.random.default_rng(seed)
     x = rng.normal(0, 1, (n, c, h, w)).astype(np.float32)
-    p = ConvParams(oc, kernel, stride=stride, pad=pad,
-                   weights=rng.normal(0, 0.5, (oc, c, *kernel)), bias=rng.normal(0, 0.5, oc))
+    g = ConvSpec(oc, kernel, stride=stride, pad=pad)
+    wts = rng.normal(0, 0.5, (oc, c, *kernel)).astype(np.float32)
+    b = rng.normal(0, 0.5, oc).astype(np.float32)
     if h + 2 * pad < kernel[0] or w + 2 * pad < kernel[1]:
         with pytest.raises(GeometryError):
-            conv2d(Tensor(x), p)
+            conv2d(Tensor(x), g, wts, b)
     else:
-        want = conv2d_reference(x, p.weights, p.bias, stride, pad)
-        np.testing.assert_allclose(conv2d(Tensor(x), p).data, want, atol=1e-5)
+        want = conv2d_reference(x, wts, b, stride, pad)
+        np.testing.assert_allclose(conv2d(Tensor(x), g, wts, b).data, want, atol=1e-5)
 
 
 def test_conv_identity_kernel_is_exact():
     rng = np.random.default_rng(4)
     x = rng.normal(0, 100, (2, 1, 6, 5)).astype(np.float32)
-    p = ConvParams(1, (1, 1), weights=np.ones((1, 1, 1, 1)), bias=np.zeros(1))
-    out = conv2d(Tensor(x), p)
+    out = conv2d(Tensor(x), ConvSpec(1, (1, 1), pad=0), np.ones((1, 1, 1, 1)), np.zeros(1))
     assert np.array_equal(out.data, x)
 
 
 def test_conv_channel_mismatch_names_layer():
     x = Tensor(np.zeros((1, 3, 8, 8), dtype=np.float32))
-    p = _conv(2, 4, 3)
     with pytest.raises(ShapeError, match="conv9"):
-        conv2d(x, p, layer="conv9")
+        conv2d(x, *_conv(2, 4, 3), layer="conv9")
 
 
 def test_conv_degenerate_output_is_geometry_error():
     x = Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
     with pytest.raises(GeometryError):
-        conv2d(x, _conv(1, 1, 3, stride=1, pad=0))
+        conv2d(x, *_conv(1, 1, 3, stride=1, pad=0))
 
 
 def test_conv_param_validation():
-    with pytest.raises(ShapeError):
-        ConvParams(2, (3, 3), weights=np.zeros((2, 1, 3, 2)))
-    with pytest.raises(ShapeError):
-        ConvParams(2, (3, 3), weights=np.zeros((2, 1, 3, 3)), bias=np.zeros(3))
+    x = Tensor(np.zeros((1, 1, 8, 8), dtype=np.float32))
+    with pytest.raises(ShapeError, match="conv3"):
+        conv2d(x, ConvSpec(2, (3, 3)), np.zeros((2, 1, 3, 2)), layer="conv3")
+    with pytest.raises(ShapeError, match="conv3"):
+        conv2d(x, ConvSpec(2, (3, 3)), np.zeros((2, 1, 3, 3)), np.zeros(3), layer="conv3")
 
 
 def test_pool_table_transitions():
     rng = np.random.default_rng(5)
-    p = PoolParams((3, 3), stride=2, rounding="ceil")
+    p = PoolSpec((3, 3), stride=2, rounding="ceil")
     out = maxpool2d(Tensor(rng.normal(0, 1, (1, 2, 74, 74)).astype(np.float32)), p)
     assert out.shape[2:] == (37, 37)
     out = maxpool2d(Tensor(rng.normal(0, 1, (1, 2, 18, 18)).astype(np.float32)), p)
@@ -140,7 +139,7 @@ def test_pool_floor_mode_differs():
 
 def test_pool_two_by_two():
     x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32))
-    out = maxpool2d(x, PoolParams((2, 2), stride=2))
+    out = maxpool2d(x, PoolSpec((2, 2), stride=2))
     assert out.shape == (1, 1, 1, 1)
     assert out.data[0, 0, 0, 0] == 4.0
 
@@ -156,7 +155,7 @@ def test_pool_window_bounds_property():
         if pool_out_extent(h, k, stride, rounding) < 1 or pool_out_extent(w, k, stride, rounding) < 1:
             continue
         x = rng.normal(0, 1, (1, 3, h, w)).astype(np.float32)
-        out = maxpool2d(Tensor(x), PoolParams((k, k), stride=stride, rounding=rounding))
+        out = maxpool2d(Tensor(x), PoolSpec((k, k), stride=stride, rounding=rounding))
         assert out.data.max() <= x.max()
         assert out.data.min() >= x.min()
 
@@ -174,7 +173,7 @@ def test_pool_window_bounds_property():
 def test_pool_equals_reference(seed, n, h, w, kernel, stride, rounding):
     x = np.random.default_rng(seed).normal(0, 1, (n, 2, h, w)).astype(np.float32)
     want = maxpool_reference(x, kernel, stride, rounding)
-    p = PoolParams(kernel, stride=stride, rounding=rounding)
+    p = PoolSpec(kernel, stride=stride, rounding=rounding)
     if want is None:
         with pytest.raises(GeometryError):
             maxpool2d(Tensor(x), p)
@@ -185,7 +184,7 @@ def test_pool_equals_reference(seed, n, h, w, kernel, stride, rounding):
 def test_pool_degenerate_output_is_geometry_error():
     x = Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32))
     with pytest.raises(GeometryError):
-        maxpool2d(x, PoolParams((3, 3), stride=2, rounding="floor"))
+        maxpool2d(x, PoolSpec((3, 3), stride=2, rounding="floor"))
 
 
 def test_concat_fire_expand_counts():
@@ -262,9 +261,9 @@ def test_stem_size_chain():
     """The stride-2 stem plus four ceil pools walks 300 down to 4."""
     rng = np.random.default_rng(11)
     x = Tensor(rng.normal(0, 1, (1, 1, 300, 300)).astype(np.float32))
-    x = conv2d(x, _conv(1, 1, 3, stride=2, pad=0, rng=rng))
+    x = conv2d(x, *_conv(1, 1, 3, stride=2, pad=0, rng=rng))
     sizes = [x.h]
     for _ in range(5):
-        x = maxpool2d(x, PoolParams((3, 3), stride=2))
+        x = maxpool2d(x, PoolSpec((3, 3), stride=2))
         sizes.append(x.h)
     assert sizes == [149, 74, 37, 18, 9, 4]

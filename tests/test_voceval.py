@@ -9,6 +9,7 @@ from tinyssd.voceval import (
     parse_detection_lines,
     parse_ground_truth,
     pr_curve_csv,
+    read_detection_file,
 )
 
 from reference import ap_reference, map_reference, random_eval_instance
@@ -92,6 +93,25 @@ def test_parse_detection_lines_errors():
     with pytest.raises(FormatError, match="line 1: non-finite"):
         parse_detection_lines(["img dog 0.5 0 -inf 1 1"])
     assert parse_detection_lines(["", "  "]) == []
+
+
+def test_read_detection_file_names_file_byte_offset(tmp_path):
+    """The offset counts from the start of the file, past the decoder's first chunk."""
+    line = _line("a", "dog", 0.9, (0.1, 0.1, 0.5, 0.5)) + "\n"
+    path = tmp_path / "dets.txt"
+    path.write_bytes(line.encode() * 3000 + b"\xff\n")
+    with pytest.raises(FormatError, match=f"invalid UTF-8 at byte {len(line) * 3000}$"):
+        read_detection_file(path)
+
+
+@pytest.mark.parametrize("lines_first", [True, False])
+def test_evaluate_rejects_mixed_lines_and_records(lines_first):
+    gt = [GroundTruthBox("a", "dog", (0.1, 0.1, 0.5, 0.5))]
+    line = _line("a", "dog", 0.9, (0.1, 0.1, 0.5, 0.5))
+    (record,) = parse_detection_lines([line])
+    same, other = (line, record) if lines_first else (record, line)
+    with pytest.raises(FormatError, match="item 2 differs from item 0"):
+        evaluate([same, same, other, same], gt)
 
 
 def test_perfect_detection_scores_one():
