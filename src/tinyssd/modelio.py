@@ -21,9 +21,8 @@ MODEL_MAGIC = b"TSSD"
 MODEL_VERSION = 1
 FP16_MAX = 65504.0
 
-_DTYPE_TAGS = {"f16": 16, "f32": 32}
-_TAG_DTYPES = {16: "f16", 32: "f32"}
-_ITEM_SIZE = {"f16": 2, "f32": 4}
+# dtype name -> (on-disk tag, little-endian payload dtype)
+_DTYPES = {"f16": (16, np.dtype("<f2")), "f32": (32, np.dtype("<f4"))}
 _MAX_RANK = 32  # numpy's array rank limit before 2.0
 
 
@@ -93,20 +92,22 @@ def quantize_fp16(store: WeightStore) -> WeightStore:
 
 
 def _record_size(name: str, shape: tuple[int, ...], dtype: str) -> int:
-    return 2 + len(name.encode()) + 1 + 1 + 4 * len(shape) + _ITEM_SIZE[dtype] * math.prod(shape)
+    itemsize = _DTYPES[dtype][1].itemsize
+    return 2 + len(name.encode()) + 1 + 1 + 4 * len(shape) + itemsize * math.prod(shape)
 
 
 def model_file_size(manifest, dtype: str) -> int:
     """Exact on-disk byte size of a model with the given blob manifest."""
-    if dtype not in _DTYPE_TAGS:
+    if dtype not in _DTYPES:
         raise FormatError(f"unknown dtype {dtype!r}, expected 'f16' or 'f32'")
     return 12 + sum(_record_size(name, tuple(shape), dtype) for name, shape in manifest)
 
 
 def save_weights(store: WeightStore, path, dtype: str = "f32") -> None:
     """Serialize the store; dtype 'f16' stores quantized half-precision payloads."""
-    if dtype not in _DTYPE_TAGS:
+    if dtype not in _DTYPES:
         raise FormatError(f"unknown dtype {dtype!r}, expected 'f16' or 'f32'")
+    tag, payload_dtype = _DTYPES[dtype]
     if dtype == "f16":
         store = quantize_fp16(store)
     with open(path, "wb") as f:
@@ -118,9 +119,9 @@ def save_weights(store: WeightStore, path, dtype: str = "f32") -> None:
                 raise FormatError(f"blob name too long ({len(encoded)} bytes)")
             f.write(struct.pack("<H", len(encoded)))
             f.write(encoded)
-            f.write(struct.pack("<BB", _DTYPE_TAGS[dtype], arr.ndim))
+            f.write(struct.pack("<BB", tag, arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.astype("<f2" if dtype == "f16" else "<f4").tobytes())
+            f.write(arr.astype(payload_dtype).tobytes())
 
 
 def load_weights(path, manifest=None) -> WeightStore:
@@ -158,26 +159,25 @@ def load_weights(path, manifest=None) -> WeightStore:
             fail(offset, f"truncated dtype/rank for blob {name!r}")
         tag, rank = struct.unpack_from("<BB", raw, offset)
         offset += 2
-        if tag not in _TAG_DTYPES:
+        payload_dtype = next((d for t, d in _DTYPES.values() if t == tag), None)
+        if payload_dtype is None:
             fail(offset - 2, f"unknown dtype tag {tag} for blob {name!r}")
         if rank > _MAX_RANK:
             fail(offset - 1, f"rank {rank} above {_MAX_RANK} for blob {name!r}")
-        dtype = _TAG_DTYPES[tag]
         if offset + 4 * rank > len(raw):
             fail(offset, f"truncated shape for blob {name!r}")
         shape = struct.unpack_from(f"<{rank}I", raw, offset)
         offset += 4 * rank
         count = math.prod(shape)  # exact: a numpy product wraps around on huge dims
-        nbytes = count * _ITEM_SIZE[dtype]
+        nbytes = count * payload_dtype.itemsize
         if offset + nbytes > len(raw):
             fail(offset, f"truncated payload for blob {name!r}")
-        payload = np.frombuffer(raw, dtype="<f2" if dtype == "f16" else "<f4",
-                                count=count, offset=offset)
+        payload = np.frombuffer(raw, dtype=payload_dtype, count=count, offset=offset)
         values = payload.astype(np.float32)
         finite = np.isfinite(values)
         if not finite.all():
             first = int(np.argmin(finite))
-            fail(offset + first * _ITEM_SIZE[dtype], f"non-finite value in blob {name!r}")
+            fail(offset + first * payload_dtype.itemsize, f"non-finite value in blob {name!r}")
         offset += nbytes
         store.add(name, values.reshape(shape))
     if offset != len(raw):

@@ -161,30 +161,18 @@ def decode_boxes(loc: np.ndarray, priors: PriorSet, variances=DEFAULT_VARIANCES,
     return out
 
 
-def iou(a, b) -> float:
-    """Intersection-over-union of two corner-form boxes."""
-    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
-    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
-    inter = ix * iy
-    if inter <= 0.0:
-        return 0.0
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    return inter / (area_a + area_b - inter)
-
-
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between two (n, 4) and (m, 4) corner-form box arrays."""
+def iou(a, b) -> np.ndarray:
+    """Intersection-over-union of corner-form boxes: (..., 4) arrays
+    broadcast against each other, 0 where boxes do not overlap."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(inter > 0, inter / union, 0.0)
+        return np.where(inter > 0, inter / (area_a + area_b - inter), 0.0)
 
 
 def nms_per_class(scores: np.ndarray, boxes: np.ndarray, iou_threshold: float,
@@ -206,7 +194,7 @@ def nms_per_class(scores: np.ndarray, boxes: np.ndarray, iou_threshold: float,
     limit = len(order) if max_keep is None else max_keep
     # A few candidates cost less as one table than as a call per kept box;
     # the table has no more rows than the walk could keep.
-    table = iou_matrix(boxes, boxes) if len(order) <= min(limit, NMS_TABLE_MAX) else None
+    table = iou(boxes[:, None], boxes) if len(order) <= min(limit, NMS_TABLE_MAX) else None
     kept: list[int] = []
     for i in range(len(order)):
         if len(kept) >= limit:
@@ -214,7 +202,7 @@ def nms_per_class(scores: np.ndarray, boxes: np.ndarray, iou_threshold: float,
         if not alive[i]:
             continue
         kept.append(int(order[i]))
-        row = iou_matrix(boxes[i:i + 1], boxes[i + 1:])[0] if table is None else table[i, i + 1:]
+        row = iou(boxes[i:i + 1], boxes[i + 1:]) if table is None else table[i, i + 1:]
         alive[i + 1:] &= row <= iou_threshold
     return kept
 
@@ -249,7 +237,6 @@ def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,
         decoded[finite] = decode_boxes(loc[finite], sub, variances, clip=True)
 
     picked: list[tuple[float, int, int]] = []  # (-score, class_id, prior index)
-    results: dict[tuple[float, int, int], Detection] = {}
     for class_id in range(1, conf.shape[1]):
         scores = probs[:, class_id]
         mask = (scores >= conf_threshold) & finite
@@ -257,14 +244,9 @@ def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,
             continue
         idx = np.flatnonzero(mask)
         kept = nms_per_class(scores[idx], decoded[idx], iou_threshold, max_keep=top_k)
-        for k in kept:
-            prior_idx = int(idx[k])
-            score = float(scores[prior_idx])
-            key = (-score, class_id, prior_idx)
-            picked.append(key)
-            results[key] = Detection(class_id, score, tuple(decoded[prior_idx]))
+        picked.extend((-float(scores[i]), class_id, int(i)) for i in idx[kept])
     picked.sort()
-    return [results[key] for key in picked[:top_k]]
+    return [Detection(c, -neg, tuple(decoded[i])) for neg, c, i in picked[:top_k]]
 
 
 def format_detection_line(image_id: str, det: Detection) -> str:

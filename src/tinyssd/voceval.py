@@ -169,39 +169,40 @@ def _interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
 
 def _eval_class(dets: list[DetectionRecord], gts: list[GroundTruthBox], iou_match: float):
     npos = sum(1 for g in gts if not g.difficult)
-    by_image: dict[str, list] = {}
-    for g in gts:
-        by_image.setdefault(g.image_id, []).append([g.box, g.difficult, False])
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    tp, fp = [], []
-    for i in order:
-        det = dets[i]
-        candidates = by_image.get(det.image_id, ())
+    image_truths: dict[str, list[int]] = {}
+    for j, g in enumerate(gts):
+        image_truths.setdefault(g.image_id, []).append(j)
+    # Every same-image (detection, truth) pair. Each detection's truths stay
+    # in input order, so of two equal overlaps the first truth is matched.
+    pairs = [(i, j) for i, d in enumerate(dets) for j in image_truths.get(d.image_id, ())]
+    det_of, gt_of = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    overlaps = iou(np.array([dets[i].box for i, _ in pairs]).reshape(-1, 4),
+                   np.array([gts[j].box for _, j in pairs]).reshape(-1, 4))
+    hit = overlaps >= iou_match
+    hits: dict[int, list[tuple[int, float]]] = {}  # qualifying (truth, overlap) per detection
+    for i, j, overlap in zip(det_of[hit].tolist(), gt_of[hit].tolist(), overlaps[hit].tolist()):
+        hits.setdefault(i, []).append((j, overlap))
+
+    matched = [False] * len(gts)
+    tp = []  # 1 or 0 per counted detection, in score order
+    for i in np.argsort(-np.array([d.score for d in dets]), kind="stable").tolist():
         best_iou, best = 0.0, None
         difficult_hit = False
-        for entry in candidates:
-            overlap = iou(det.box, entry[0])
-            if overlap < iou_match:
-                continue
-            if entry[1]:
+        for j, overlap in hits.get(i, ()):
+            if gts[j].difficult:
                 difficult_hit = True
-            elif not entry[2] and overlap > best_iou:
-                best_iou, best = overlap, entry
+            elif not matched[j] and overlap > best_iou:
+                best_iou, best = overlap, j
         if best is not None:
-            best[2] = True
+            matched[best] = True
             tp.append(1)
-            fp.append(0)
-        elif difficult_hit:
-            continue  # neither a positive nor a penalty
-        else:
+        elif not difficult_hit:  # a detection hitting only difficult truths is not counted
             tp.append(0)
-            fp.append(1)
     if not tp:
         return 0.0, ()
     tp_cum = np.cumsum(tp)
-    fp_cum = np.cumsum(fp)
     recalls = tp_cum / npos
-    precisions = tp_cum / (tp_cum + fp_cum)
+    precisions = tp_cum / np.arange(1, len(tp) + 1)
     ap = _interpolated_ap(recalls, precisions)
     points = tuple(zip(recalls.tolist(), precisions.tolist()))
     return ap, points
@@ -209,20 +210,10 @@ def _eval_class(dets: list[DetectionRecord], gts: list[GroundTruthBox], iou_matc
 
 def evaluate(detections, truths: list[GroundTruthBox], iou_match: float = 0.5,
              protocol: str = "voc2007") -> EvalResult:
-    """Score emission-format detection lines against ground truth.
-
-    ``detections`` may be an iterable of lines or of DetectionRecord, not a
-    mix of both.
-    """
+    """Score emission-format detection lines against ground truth."""
     if protocol != "voc2007":
         raise FormatError(f"unsupported protocol {protocol!r}; only 'voc2007' is implemented")
-    records = list(detections)
-    first = bool(records) and isinstance(records[0], DetectionRecord)
-    for i, rec in enumerate(records):
-        if isinstance(rec, DetectionRecord) != first:
-            raise FormatError(f"detections mix lines and records: item {i} differs from item 0")
-    if not first:
-        records = parse_detection_lines(records)
+    records = parse_detection_lines(detections)
 
     dets_by_class: dict[str, list[DetectionRecord]] = {name: [] for name in VOC_CLASSES}
     for rec in records:

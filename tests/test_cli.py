@@ -272,3 +272,13 @@ def test_eval_non_utf8_detections_is_format_error(tmp_path, capsys):
     assert captured.out == ""
     assert f"{det_file}: invalid UTF-8 at byte {len(GOOD_LINE)}" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_detect_batch_above_one_is_shape_error(model_path, tmp_path, capsys):
+    path = tmp_path / "pair.tnsr"
+    write_tnsr(Tensor(np.zeros((2, 3, 300, 300), dtype=np.float32)), path)
+    assert main(["detect", "--model", str(model_path), "--image", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "detect expects a single-image HeadOutput, got loc (2, 8030, 4)" in captured.err
+    assert "Traceback" not in captured.err

@@ -81,7 +81,7 @@ def test_suppression_rows_bounded_by_top_k(prior_set, monkeypatch, top_k):
     NMS still computes at most 20 * top_k IoU rows."""
     n = len(prior_set)
     candidates, rows = [], []
-    real_nms, real_iou = priors.nms_per_class, priors.iou_matrix
+    real_nms, real_iou = priors.nms_per_class, priors.iou
 
     def counting_nms(scores, *args, **kwargs):
         candidates.append(len(scores))
@@ -92,7 +92,7 @@ def test_suppression_rows_bounded_by_top_k(prior_set, monkeypatch, top_k):
         return real_iou(a, b)
 
     monkeypatch.setattr(priors, "nms_per_class", counting_nms)
-    monkeypatch.setattr(priors, "iou_matrix", counting_iou)
+    monkeypatch.setattr(priors, "iou", counting_iou)
     head = _head(np.zeros((n, 4)), np.zeros((n, 21)))
     found = detect(head, prior_set, conf_threshold=0.0, top_k=top_k)
     assert sum(candidates) == 20 * n == 160_600

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinyssd.errors import ConfigError, ShapeError
 from tinyssd.network import HeadOutput
@@ -16,13 +18,18 @@ from tinyssd.priors import (
     format_detection_line,
     generate_priors,
     iou,
-    iou_matrix,
     nms_per_class,
     tiny_ssd_prior_config,
 )
 from tinyssd.voceval import parse_detection_lines
 
-from reference import encode_boxes, nms_reference, prior_count, random_corner_boxes
+from reference import (
+    encode_boxes,
+    iou_reference,
+    nms_reference,
+    prior_count,
+    random_corner_boxes,
+)
 
 
 def test_prior_count_is_8030(prior_set):
@@ -133,10 +140,45 @@ def test_iou_properties():
     for a, b in zip(boxes[:10], boxes[10:]):
         assert iou(a, b) == pytest.approx(iou(b, a))
     assert iou((0, 0, 0.2, 0.2), (0.5, 0.5, 0.9, 0.9)) == 0.0
-    mat = iou_matrix(boxes[:5], boxes[5:9])
+    mat = iou(boxes[:5, None], boxes[5:9])
     for i in range(5):
         for j in range(4):
             assert mat[i, j] == pytest.approx(iou(boxes[i], boxes[5 + j]))
+
+
+# Corners on a 1/8 grid give identical, touching and nested boxes. The float
+# range keeps width x height products clear of underflow, where
+# iou_reference would divide zero by zero.
+_coord = st.one_of(st.integers(0, 8).map(lambda v: v / 8), st.floats(1e-3, 1.0))
+_box = st.tuples(_coord, _coord, _coord, _coord).map(
+    lambda c: (min(c[0], c[2]), min(c[1], c[3]), max(c[0], c[2]), max(c[1], c[3]))
+)
+EDGE_BOXES = [
+    (0.25, 0.25, 0.75, 0.75),
+    (0.25, 0.25, 0.75, 0.75),  # identical to the first
+    (0.75, 0.25, 1.0, 0.75),  # touches the first along x = 0.75
+    (0.375, 0.375, 0.5, 0.5),  # nested in the first
+    (0.5, 0.25, 0.5, 0.75),  # zero width
+    (0.5, 0.5, 0.5, 0.5),  # a point
+]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(drawn=st.lists(_box, max_size=12))
+def test_iou_equals_reference_exactly(drawn):
+    """Every call form gives iou_reference's value bit for bit: a pair of
+    boxes (0-d), a row, a table, and elementwise pairs."""
+    boxes = np.array(EDGE_BOXES + drawn)
+    n = len(boxes)
+    want = np.array([[iou_reference(a, b) for b in boxes] for a in boxes])
+    for i in range(n):
+        for j in range(n):
+            got = iou(boxes[i], boxes[j])
+            assert got.shape == () and got == want[i, j]
+        assert np.array_equal(iou(boxes[i:i + 1], boxes), want[i])
+    assert np.array_equal(iou(boxes[:, None], boxes), want)
+    flipped = np.arange(n)[::-1]
+    assert np.array_equal(iou(boxes, boxes[flipped]), want[np.arange(n), flipped])
 
 
 def test_nms_single_box_kept():

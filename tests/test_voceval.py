@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinyssd.errors import FormatError
 from tinyssd.voceval import (
@@ -104,16 +106,6 @@ def test_read_detection_file_names_file_byte_offset(tmp_path):
         read_detection_file(path)
 
 
-@pytest.mark.parametrize("lines_first", [True, False])
-def test_evaluate_rejects_mixed_lines_and_records(lines_first):
-    gt = [GroundTruthBox("a", "dog", (0.1, 0.1, 0.5, 0.5))]
-    line = _line("a", "dog", 0.9, (0.1, 0.1, 0.5, 0.5))
-    (record,) = parse_detection_lines([line])
-    same, other = (line, record) if lines_first else (record, line)
-    with pytest.raises(FormatError, match="item 2 differs from item 0"):
-        evaluate([same, same, other, same], gt)
-
-
 def test_perfect_detection_scores_one():
     gt = [GroundTruthBox("a", "dog", (0.1, 0.1, 0.5, 0.5))]
     lines = [_line("a", "dog", 1.0, (0.1, 0.1, 0.5, 0.5))]
@@ -200,6 +192,76 @@ def test_randomized_instances_match_reference():
                 continue
             want = ap_reference(dets_by_class.get(name, []), gt_list)
             assert result.class_aps[name] == pytest.approx(want, abs=1e-9)
+
+
+SCORES = (0.2, 0.4, 0.6, 0.8, 1.0)  # few values, so scores tie
+
+
+def _box(rng, low=0.1, high=0.5):
+    x0, y0 = rng.uniform(0.0, 0.5, 2)
+    w, h = rng.uniform(low, high, 2)
+    return np.array([x0, y0, x0 + w, y0 + h])
+
+
+def _dense_eval_instance(rng, cluster_size, n_truths, n_dets):
+    """Truths: a row of near-identical dogs on image a, each shifted right
+    of the last by up to 15% of its width, so one detection can overlap two
+    of them while another overlaps only one; scattered dogs, cats and cars;
+    and birds only on image z. Detections: mostly jittered copies of a
+    truth, with birds only on images a-c."""
+    classes, images = ("dog", "cat", "car"), ("a", "b", "c")
+    base = _box(rng, 0.2, 0.5)
+    step = rng.uniform(0.0, 0.15) * (base[2] - base[0]) * np.array([1.0, 0.0, 1.0, 0.0])
+    placed = [("a", "dog", base + k * step) for k in range(cluster_size)]
+    placed += [(str(rng.choice(images)), str(rng.choice(classes)), _box(rng))
+               for _ in range(n_truths)]
+    gts = [GroundTruthBox(img, name, tuple(np.clip(box, 0.0, 1.0).tolist()),
+                          difficult=bool(rng.uniform() < 0.25))
+           for img, name, box in placed]
+    gts += [GroundTruthBox("z", "bird", tuple(_box(rng).tolist()), difficult=k > 0)
+            for k in range(2)]
+
+    lines = []
+    for _ in range(n_dets):
+        draw = rng.uniform()
+        if draw < 0.8:
+            g = gts[int(rng.integers(0, cluster_size if draw < 0.4 else len(placed)))]
+            img, name = g.image_id, g.class_name
+            box = np.clip(np.asarray(g.box) + rng.normal(0.0, 0.02, 4), 0.0, 1.0)
+        else:
+            img, name = str(rng.choice(images)), str(rng.choice(classes + ("bird",)))
+            box = _box(rng)
+        if box[0] >= box[2] or box[1] >= box[3]:
+            continue
+        score = SCORES[int(rng.integers(0, len(SCORES)))]
+        lines.append(_line(img, name, score, box))
+
+    dets_by_class, gts_by_class = {}, {}
+    for line in lines:
+        parts = line.split()
+        dets_by_class.setdefault(parts[1], []).append(
+            (parts[0], float(parts[2]), tuple(float(v) for v in parts[3:]))
+        )
+    for g in gts:
+        gts_by_class.setdefault(g.class_name, []).append((g.image_id, g.box, g.difficult))
+    return lines, gts, dets_by_class, gts_by_class
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cluster_size=st.integers(2, 4),
+    n_truths=st.integers(0, 10),
+    n_dets=st.integers(0, 40),
+)
+def test_dense_matching_matches_reference(seed, cluster_size, n_truths, n_dets):
+    """Detections that overlap several truths at once pick the best unmatched
+    one; a class with no same-image pair scores from an empty pair list."""
+    rng = np.random.default_rng(seed)
+    lines, gts, dets_by_class, gts_by_class = _dense_eval_instance(
+        rng, cluster_size, n_truths, n_dets)
+    got = evaluate(lines, gts).mean_ap
+    assert abs(got - map_reference(dets_by_class, gts_by_class)) <= 1e-9
 
 
 def test_pr_curve_csv():
