@@ -2,7 +2,8 @@
 the conv and pooling geometry they take.
 
 conv2d uses an im2col + matmul formulation with float64 accumulation;
-outputs are float32. All functions are pure.
+maxpool2d is an elementwise max over the kh*kw strided window taps. Outputs
+are float32. All functions are pure.
 """
 
 from __future__ import annotations
@@ -114,14 +115,20 @@ def maxpool2d(x: Tensor, g: PoolSpec, layer: str = "pool") -> Tensor:
             f"{layer}: kernel {kh}x{kw} stride {g.stride} on {h}x{w} input "
             f"gives non-positive output {out_h}x{out_w}"
         )
-    out = np.empty((n, c, out_h, out_w), dtype=np.float32)
-    for i in range(out_h):
-        y0 = i * g.stride
-        y1 = min(y0 + kh, h)
-        for j in range(out_w):
-            x0 = j * g.stride
-            x1 = min(x0 + kw, w)
-            out[:, :, i, j] = x.data[:, :, y0:y1, x0:x1].max(axis=(2, 3))
+    # Fold the kh*kw strided taps together. Every window starts inside the
+    # input; a -inf pad on the right and bottom clips the border ones, since it
+    # never wins a max, and np.maximum still propagates NaN.
+    s = g.stride
+    span_h, span_w = (out_h - 1) * s + 1, (out_w - 1) * s + 1
+    data = x.data
+    pad_h, pad_w = max(span_h + kh - 1 - h, 0), max(span_w + kw - 1 - w, 0)
+    if pad_h or pad_w:
+        data = np.pad(data, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)), constant_values=-np.inf)
+    out = data[:, :, :span_h:s, :span_w:s].copy()
+    for dy in range(kh):
+        for dx in range(kw):
+            if dy or dx:
+                np.maximum(out, data[:, :, dy : dy + span_h : s, dx : dx + span_w : s], out=out)
     return Tensor(out)
 
 

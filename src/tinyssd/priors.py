@@ -138,7 +138,9 @@ def decode_boxes(loc: np.ndarray, priors: PriorSet, variances=DEFAULT_VARIANCES,
     """Apply predicted center/size offsets to the priors; corner-form result.
 
     loc rows must be finite; rows that are not are rejected with the first
-    offending index named.
+    offending index named. A finite size offset so large that its exp
+    overflows decodes to an infinite extent, which clipping bounds to the
+    frame.
     """
     loc = np.asarray(loc, dtype=np.float64)
     if loc.ndim != 2 or loc.shape[1] != 4:
@@ -153,8 +155,9 @@ def decode_boxes(loc: np.ndarray, priors: PriorSet, variances=DEFAULT_VARIANCES,
     pcx, pcy, pw, ph = _center_form(priors.boxes)
     cx = pcx + loc[:, 0] * v0 * pw
     cy = pcy + loc[:, 1] * v0 * ph
-    w = pw * np.exp(loc[:, 2] * v1)
-    h = ph * np.exp(loc[:, 3] * v1)
+    with np.errstate(over="ignore"):
+        w = pw * np.exp(loc[:, 2] * v1)
+        h = ph * np.exp(loc[:, 3] * v1)
     out = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
     if clip:
         out = np.clip(out, 0.0, 1.0)

@@ -43,7 +43,7 @@ class EvalResult:
 
     class_aps: dict[str, float]
     mean_ap: float
-    pr_curves: dict[str, tuple[tuple[float, float], ...]]
+    pr_curves: dict[str, np.ndarray]  # (points, 2) float64 rows of (recall, precision)
 
 
 def parse_detection_lines(lines) -> list[DetectionRecord]:
@@ -199,13 +199,11 @@ def _eval_class(dets: list[DetectionRecord], gts: list[GroundTruthBox], iou_matc
         elif not difficult_hit:  # a detection hitting only difficult truths is not counted
             tp.append(0)
     if not tp:
-        return 0.0, ()
+        return 0.0, np.empty((0, 2))
     tp_cum = np.cumsum(tp)
     recalls = tp_cum / npos
     precisions = tp_cum / np.arange(1, len(tp) + 1)
-    ap = _interpolated_ap(recalls, precisions)
-    points = tuple(zip(recalls.tolist(), precisions.tolist()))
-    return ap, points
+    return _interpolated_ap(recalls, precisions), np.column_stack((recalls, precisions))
 
 
 def evaluate(detections, truths: list[GroundTruthBox], iou_match: float = 0.5,
@@ -255,6 +253,6 @@ def pr_curve_csv(result: EvalResult) -> str:
     """PR points for every evaluated class: class,recall,precision rows."""
     lines = ["class,recall,precision"]
     for name in VOC_CLASSES:
-        for recall, precision in result.pr_curves.get(name, ()):
-            lines.append(f"{name},{recall:.6f},{precision:.6f}")
+        if name in result.pr_curves:
+            lines.extend(f"{name},{r:.6f},{p:.6f}" for r, p in result.pr_curves[name].tolist())
     return "\n".join(lines) + "\n"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -282,3 +284,21 @@ def test_detect_batch_above_one_is_shape_error(model_path, tmp_path, capsys):
     assert captured.out == ""
     assert "detect expects a single-image HeadOutput, got loc (2, 8030, 4)" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_detect_overflowing_size_offsets_clip_to_frame(model_path, tmp_path, capsys):
+    """A finite but huge input overflows the box decode's exp; those boxes are
+    clipped to the frame and numpy prints no overflow warning."""
+    path = tmp_path / "huge.tnsr"
+    x = np.random.default_rng(0).normal(0, 1, (1, 3, 300, 300)) * 1e37
+    write_tnsr(Tensor(x.astype(np.float32)), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["detect", "--model", str(model_path), "--image", str(path), "--conf", "0.01"]) == 0
+    captured = capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in captured.err
+    records = parse_detection_lines(captured.out.splitlines())
+    assert records
+    boxes = np.array([r.box for r in records])
+    assert ((boxes >= 0.0) & (boxes <= 1.0)).all()

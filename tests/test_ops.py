@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tinyssd.arch import lower, tiny_ssd_spec
 from tinyssd.errors import GeometryError, ShapeError
 from tinyssd.ops import (
     ConvSpec,
@@ -179,6 +180,48 @@ def test_pool_equals_reference(seed, n, h, w, kernel, stride, rounding):
             maxpool2d(Tensor(x), p)
     else:
         assert np.array_equal(maxpool2d(Tensor(x), p).data, want)
+
+
+SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype=np.float32)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    h=st.integers(4, 30),
+    w=st.integers(4, 30),
+    kernel=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    stride=st.integers(1, 3),
+    rounding=st.sampled_from(["ceil", "floor"]),
+    salt=st.sampled_from([0.05, 0.3, 1.0]),
+)
+def test_pool_nonfinite_and_signed_zeros(seed, h, w, kernel, stride, rounding, salt):
+    """A window holding a NaN pools to NaN; every other window, including
+    ones of only infinities or signed zeros, pools to the reference max."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0, 1, (2, 2, h, w)).astype(np.float32)
+    salted = rng.random(x.shape) < salt
+    x[salted] = rng.choice(SPECIALS, int(salted.sum()))
+    got = maxpool2d(Tensor(x), PoolSpec(kernel, stride=stride, rounding=rounding)).data
+    nan_window = maxpool_reference(np.isnan(x).astype(np.float32), kernel, stride, rounding) > 0
+    assert np.isnan(got[nan_window]).all()
+    assert np.array_equal(got[~nan_window], maxpool_reference(x, kernel, stride, rounding)[~nan_window])
+
+
+def test_network_pool_geometries_full_size():
+    """Each pool of the Tiny SSD table at its real extent: pool1, pool5 and
+    pool10 need no border pad, pool3 and pool9 clip a last row and column."""
+    pools = [s for _, steps in lower(tiny_ssd_spec()) for s in steps if s.op == "pool"]
+    assert [(s.name, s.in_shape[1], s.out_shape[1]) for s in pools] == [
+        ("pool1", 149, 74), ("pool3", 74, 37), ("pool5", 37, 18), ("pool9", 18, 9), ("pool10", 9, 4)
+    ]
+    rng = np.random.default_rng(12)
+    for s in pools:
+        g = s.geometry
+        x = rng.normal(0, 1, (1, 2, *s.in_shape[1:])).astype(np.float32)
+        got = maxpool2d(Tensor(x), g, layer=s.name).data
+        assert got.shape[2:] == s.out_shape[1:]
+        assert np.array_equal(got, maxpool_reference(x, g.kernel, g.stride, g.rounding)), s.name
 
 
 def test_pool_degenerate_output_is_geometry_error():
