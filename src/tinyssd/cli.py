@@ -128,6 +128,9 @@ def _cmd_eval(args) -> int:
     lines = voceval.read_detection_file(args.detections)
     truths = voceval.load_annotation_dir(args.annotations)
     result = voceval.evaluate(lines, truths, iou_match=args.iou_match)
+    print(f"scored {result.detections} detection line(s) against {len(truths)} truth box(es): "
+          f"parse {result.parse_s * 1e3:.1f} ms, match {result.match_s * 1e3:.1f} ms",
+          file=sys.stderr)
     sys.stdout.write(voceval.format_eval_report(result))
     if args.pr_csv:
         Path(args.pr_csv).write_text(voceval.pr_curve_csv(result), encoding="utf-8")

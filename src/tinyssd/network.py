@@ -87,7 +87,10 @@ def forward(spec: ArchSpec, store, image: Tensor) -> HeadOutput:
     want = (spec.input_channels, spec.input_size, spec.input_size)
     if image.shape[1:] != want:
         raise ShapeError(f"input image shape {image.shape[1:]} != expected {want}")
-    acts = activations(spec, store, image)
+    # A finite but huge input can overflow float32 or meet inf - inf in a GEMM.
+    # detect never emits a row made non-finite that way, so no warning is due.
+    with np.errstate(over="ignore", invalid="ignore"):
+        acts = activations(spec, store, image)
     loc = [_prior_rows(acts[h.loc], 4, h.loc) for h in spec.heads]
     conf = [_prior_rows(acts[h.conf], spec.class_count, h.conf) for h in spec.heads]
     return HeadOutput(loc=np.concatenate(loc, axis=1), conf=np.concatenate(conf, axis=1))

@@ -157,6 +157,7 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-D array, got rank {s.ndim}")
-    shifted = s - s.max(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # a +inf or all -inf row becomes NaN
+        shifted = s - s.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)

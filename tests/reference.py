@@ -283,3 +283,32 @@ def random_eval_instance(rng, classes=("dog", "cat", "car"), images=("a", "b", "
     for g in gts:
         gts_by_class.setdefault(g.class_name, []).append((g.image_id, g.box, g.difficult))
     return lines, gts, dets_by_class, gts_by_class
+
+
+def parse_lines_reference(lines):
+    """Detection-line parser, one line at a time: the line loop of
+    ``tinyssd.voceval.parse_detection_lines`` before it parsed in columns."""
+    from tinyssd.arch import VOC_CLASSES
+    from tinyssd.errors import FormatError
+    from tinyssd.voceval import DetectionRecord
+
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        parts = text.split()
+        if len(parts) != 7:
+            raise FormatError(f"detection line {lineno}: expected 7 fields, got {len(parts)}")
+        image_id, class_name = parts[0], parts[1]
+        if class_name not in VOC_CLASSES:
+            raise FormatError(f"detection line {lineno}: unknown class name {class_name!r}")
+        try:
+            score = float(parts[2])
+            box = tuple(float(v) for v in parts[3:7])
+        except ValueError:
+            raise FormatError(f"detection line {lineno}: non-numeric field") from None
+        if not all(map(math.isfinite, (score, *box))):
+            raise FormatError(f"detection line {lineno}: non-finite score or coordinate")
+        records.append(DetectionRecord(image_id, class_name, score, box))
+    return records

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from tinyssd.cli import main
 from tinyssd.image import write_ppm
 from tinyssd.modelio import load_weights, quantize_fp16
 from tinyssd.tensor import Tensor, write_tnsr
-from tinyssd.voceval import parse_detection_lines
+from tinyssd.voceval import evaluate, format_eval_report, parse_detection_lines, parse_ground_truth
 
 from test_modelio import _huge_shape_model
 
@@ -157,6 +158,24 @@ def test_eval_pipeline(tmp_path, capsys):
     assert csv_path.read_text().startswith("class,recall,precision")
 
 
+
+def test_eval_reports_counts_and_timings_on_stderr(tmp_path, capsys):
+    """One stderr line with the lines scored, the truth boxes and the parse
+    and match times; stdout is the report evaluate gives, byte for byte."""
+    ann_dir = tmp_path / "annotations"
+    ann_dir.mkdir()
+    (ann_dir / "scene.xml").write_text(ANNOTATION)
+    lines = ["scene dog 0.900000 0.100000 0.100000 0.500000 0.500000\n", "\n",
+             "scene cat 0.400000 0.200000 0.200000 0.600000 0.600000\n"]
+    det_file = tmp_path / "dets.txt"
+    det_file.write_text("".join(lines))
+    assert main(["eval", "--detections", str(det_file), "--annotations", str(ann_dir)]) == 0
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"scored 2 detection line\(s\) against 1 truth box\(es\): "
+                        r"parse \d+\.\d ms, match \d+\.\d ms\n", captured.err)
+    truths = parse_ground_truth(ann_dir / "scene.xml")
+    assert captured.out == format_eval_report(evaluate(lines, truths))
+
 def test_eval_empty_annotation_dir_is_error(tmp_path, capsys):
     det_file = tmp_path / "dets.txt"
     det_file.write_text("")
@@ -302,3 +321,20 @@ def test_detect_overflowing_size_offsets_clip_to_frame(model_path, tmp_path, cap
     assert records
     boxes = np.array([r.box for r in records])
     assert ((boxes >= 0.0) & (boxes <= 1.0)).all()
+
+
+def test_detect_huge_finite_input_emits_nothing_without_warnings(model_path, tmp_path, capsys):
+    """Clipped noise times 3e38 is a finite TNSR, but it overflows float32 in
+    the forward pass; rows made non-finite are never emitted, and numpy
+    prints no warning."""
+    path = tmp_path / "huge.tnsr"
+    x = np.clip(np.random.default_rng(0).normal(0, 1, (1, 3, 300, 300)), -1, 1) * 3e38
+    write_tnsr(Tensor(x.astype(np.float32)), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["detect", "--model", str(model_path), "--image", str(path), "--conf", "0.01"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in captured.err
+    assert captured.out == ""

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,6 +301,20 @@ def test_softmax_shift_invariance():
     shifted = scores + rng.normal(0, 10, (4, 1))
     np.testing.assert_allclose(softmax_rows(scores), softmax_rows(shifted), atol=1e-6)
 
+
+
+def test_softmax_non_finite_rows_are_nan_without_warning():
+    """A row holding NaN or +inf, or only -inf, comes out all NaN, which no
+    confidence threshold passes; finite rows beside it are unchanged."""
+    finite = [0.0, 1.0, 2.0]
+    scores = np.array([finite, [0.0, np.inf, 1.0], [-np.inf] * 3, [np.nan, 0.0, 1.0],
+                       [-np.inf, 0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = softmax_rows(scores)
+    assert np.isnan(out[1:4]).all()
+    np.testing.assert_array_equal(out[0], softmax_rows(np.array([finite]))[0])
+    np.testing.assert_array_equal(out[4], [0.0, *softmax_rows(np.array([[0.0, 1.0]]))[0]])
 
 def test_stem_size_chain():
     """The stride-2 stem plus four ceil pools walks 300 down to 4."""

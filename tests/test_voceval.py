@@ -1,8 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tinyssd import voceval
+from tinyssd.arch import VOC_CLASSES
 from tinyssd.errors import FormatError
 from tinyssd.voceval import (
     GroundTruthBox,
@@ -14,7 +19,7 @@ from tinyssd.voceval import (
     read_detection_file,
 )
 
-from reference import ap_reference, map_reference, random_eval_instance
+from reference import ap_reference, map_reference, parse_lines_reference, random_eval_instance
 
 ANNOTATION = """<annotation>
   <filename>000123.jpg</filename>
@@ -270,3 +275,130 @@ def test_pr_curve_csv():
     csv = pr_curve_csv(evaluate(lines, gt))
     assert csv.splitlines()[0] == "class,recall,precision"
     assert "dog,1.000000,1.000000" in csv
+
+
+PARITY_TRUTHS = [
+    GroundTruthBox("a", "dog", (0.1, 0.1, 0.5, 0.5)),
+    GroundTruthBox("a", "dog", (0.4, 0.1, 0.8, 0.5), difficult=True),
+    GroundTruthBox("b", "cat", (0.2, 0.3, 0.6, 0.9)),
+    GroundTruthBox("c", "dog", (0.0, 0.0, 1.0, 1.0)),
+]
+PARITY_BOXES = [g.box for g in PARITY_TRUTHS] + [(0.12, 0.1, 0.52, 0.48), (0.6, 0.6, 0.9, 0.9)]
+
+# Each edit turns one well-formed line into another line; some still parse.
+LINE_EDITS = {
+    "blank": lambda f: "",
+    "whitespace-only": lambda f: " \t \x0c ",
+    "six-fields": lambda f: " ".join(f[:6]),
+    "eight-fields": lambda f: " ".join(f + ["0.5"]),
+    "unknown-class": lambda f: " ".join(f[:1] + ["unicorn"] + f[2:]),
+    "non-numeric": lambda f: " ".join(f[:4] + ["high"] + f[5:]),
+    "nan-score": lambda f: " ".join(f[:2] + ["nan"] + f[3:]),
+    "inf-coordinate": lambda f: " ".join(f[:5] + ["inf"] + f[6:]),
+    "overflowing-1e400": lambda f: " ".join(f[:3] + ["1e400"] + f[4:]),
+    "underscore-digits": lambda f: " ".join(f[:2] + ["1_0"] + f[3:]),
+    "full-width-digits": lambda f: " ".join(f[:3] + ["\uff10.\uff11"] + f[4:]),
+    "no-break-space-separators": lambda f: "\xa0".join(f),
+    "form-feed-separators": lambda f: "\x0c".join(f),
+    "embedded-newline": lambda f: " ".join(f) + "\n" + " ".join(f),
+    "half-line-then-newline": lambda f: " ".join(f[:3]) + "\n" + " ".join(f[3:]),
+    "trailing-newline": lambda f: " ".join(f) + "\n",
+    "trailing-crlf": lambda f: " ".join(f) + "\r\n",
+}
+
+_parity_line = st.builds(
+    lambda image, name, score, box: [image, name, f"{score:.6f}"] + [f"{v:.6f}" for v in box],
+    st.sampled_from("abcd"), st.sampled_from(("dog", "cat", "car")),
+    st.floats(0.0, 1.0), st.sampled_from(PARITY_BOXES),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except FormatError as e:
+        return "error", str(e)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    fields=st.lists(_parity_line, max_size=12),
+    edits=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(sorted(LINE_EDITS))), max_size=4),
+    chunk=st.sampled_from((1, 2, 3, 5, voceval.PARSE_CHUNK_LINES)),
+)
+def test_parse_matches_line_loop_reference(fields, edits, chunk):
+    """On mutated lines, the chunked column parser gives the line loop's
+    records and mAP, or raises its FormatError message, whatever the chunk
+    size, so an error's line number counts across chunks."""
+    lines = [" ".join(f) for f in fields]
+    for at, edit in edits:
+        if at < len(lines):
+            lines[at] = LINE_EDITS[edit](fields[at])
+    want = _outcome(parse_lines_reference, lines)
+    with mock.patch.object(voceval, "PARSE_CHUNK_LINES", chunk):
+        assert _outcome(parse_detection_lines, lines) == want
+        got = _outcome(lambda: evaluate(lines, PARITY_TRUTHS).mean_ap)
+    if want[0] == "error":
+        assert got == want
+        return
+    dets_by_class, gts_by_class = {}, {}
+    for r in want[1]:
+        dets_by_class.setdefault(r.class_name, []).append((r.image_id, r.score, r.box))
+    for g in PARITY_TRUTHS:
+        gts_by_class.setdefault(g.class_name, []).append((g.image_id, g.box, g.difficult))
+    assert got[0] == "ok"
+    assert abs(got[1] - map_reference(dets_by_class, gts_by_class)) <= 1e-9
+
+
+def test_well_formed_lines_never_take_the_line_loop():
+    """Lines with and without a newline, and blank ones, parse in columns."""
+    lines = [_line("a", "dog", 0.9, (0.1, 0.1, 0.5, 0.5)),
+             _line("b", "cat", 0.5, (0.2, 0.3, 0.6, 0.9)) + "\n", "  \n", "",
+             _line("a", "car", 0.1, (0.0, 0.0, 1.0, 1.0))]
+    with mock.patch.object(voceval, "_parse_lines", side_effect=AssertionError("line loop")):
+        records = parse_detection_lines(lines)
+    assert records == parse_lines_reference(lines)
+
+
+def _large_eval_input(seed, n_lines=100_000, n_images=1000):
+    """Seeded eval input shaped like a VOC run: three truths per image, a
+    fifth of the lines jittered copies of a truth, the rest random boxes."""
+    rng = np.random.default_rng(seed)
+    image_ids = [f"img{i:06d}" for i in range(n_images)]
+    truth_image = np.repeat(np.arange(n_images), 3)
+    truth_class = rng.integers(len(VOC_CLASSES), size=len(truth_image))
+    corner = rng.uniform(0.0, 0.6, (len(truth_image), 2))
+    truth_boxes = np.hstack([corner, corner + rng.uniform(0.05, 0.4, corner.shape)])
+    truths = [GroundTruthBox(image_ids[m], VOC_CLASSES[c], tuple(box), bool(rng.uniform() < 0.05))
+              for m, c, box in zip(truth_image, truth_class, truth_boxes.tolist())]
+    copies = rng.integers(len(truths), size=n_lines // 5)
+    rest = n_lines - len(copies)
+    image = np.concatenate([truth_image[copies], rng.integers(n_images, size=rest)])
+    classes = np.concatenate([truth_class[copies], rng.integers(len(VOC_CLASSES), size=rest)])
+    corners = np.sort(rng.uniform(0.0, 1.0, (rest, 2, 2)), axis=1)
+    boxes = np.vstack([truth_boxes[copies] + rng.normal(0.0, 0.02, (len(copies), 4)),
+                       corners.transpose(0, 2, 1).reshape(rest, 4)])
+    scores = rng.uniform(size=n_lines)
+    lines = [f"{image_ids[m]} {VOC_CLASSES[c]} {s:.6f} {x0:.6f} {y0:.6f} {x1:.6f} {y1:.6f}\n"
+             for m, c, s, (x0, y0, x1, y1) in zip(image.tolist(), classes.tolist(),
+                                                   scores.tolist(), boxes.tolist())]
+    order = rng.permutation(n_lines)
+    return [lines[i] for i in order], truths
+
+
+# evaluate's tracemalloc peak on _large_eval_input(3): 11.3 MB parsing 4,096
+# lines a chunk; 55 MB when the whole input is split into tokens at once, and
+# 45 MB for the old one-record-per-line parse.
+EVAL_PEAK_BOUND_MB = 20
+
+
+def test_evaluate_memory_is_bounded_by_the_parse_chunk():
+    lines, truths = _large_eval_input(3)
+    tracemalloc.start()
+    try:
+        result = evaluate(lines, truths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.detections == len(lines)
+    assert peak / 1e6 < EVAL_PEAK_BOUND_MB
