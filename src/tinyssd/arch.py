@@ -1,11 +1,11 @@
 """Declarative description of the Tiny SSD graph: layer table, validation,
-the lowering into primitive steps, static shape inference, the parameter
-manifest, and text/JSON rendering."""
+the lowering into primitive steps (which also checks the graph), static
+shape inference, the parameter manifest, and text/JSON rendering."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import GeometryError, SpecError
 from .ops import ConvSpec, PoolSpec, conv_out_extent, pool_out_extent
@@ -39,6 +39,9 @@ class FireConfig:
         return self.expand1x1 + self.expand3x3
 
 
+_GEOMETRY_KINDS = {"conv": ConvSpec, "pool": PoolSpec, "fire": FireConfig}
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """One named node of the graph. inputs name previously declared layers
@@ -46,9 +49,16 @@ class LayerSpec:
     topological order."""
 
     name: str
-    kind: str  # "conv" | "pool" | "fire"
-    geometry: object
+    geometry: ConvSpec | PoolSpec | FireConfig
     inputs: tuple[str, ...]
+
+    @property
+    def kind(self) -> str:
+        """"conv", "pool" or "fire", from the geometry's type."""
+        for kind, geometry_type in _GEOMETRY_KINDS.items():
+            if isinstance(self.geometry, geometry_type):
+                return kind
+        raise SpecError(f"{self.name}: unknown geometry type {type(self.geometry).__name__}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +87,6 @@ class ArchSpec:
                 return layer
         raise SpecError(f"no layer named {name!r}")
 
-
-_GEOMETRY_KINDS = {"conv": ConvSpec, "pool": PoolSpec, "fire": FireConfig}
 
 # Fire stack filter counts (squeeze, expand 1x1, expand 3x3), in layer order.
 _FIRE_CONFIGS = {
@@ -112,82 +120,59 @@ def tiny_ssd_spec() -> ArchSpec:
     layers = []
     prev = INPUT_NAME
 
-    def add(name, kind, geometry):
+    def add(name, geometry):
         nonlocal prev
-        layers.append(LayerSpec(name, kind, geometry, (prev,)))
+        layers.append(LayerSpec(name, geometry, (prev,)))
         prev = name
 
     def fire(name):
-        add(name, "fire", FireConfig(*_FIRE_CONFIGS[name]))
+        add(name, FireConfig(*_FIRE_CONFIGS[name]))
 
-    add("conv1", "conv", ConvSpec(57, stride=2, pad=0))
-    add("pool1", "pool", PoolSpec())
+    add("conv1", ConvSpec(57, stride=2, pad=0))
+    add("pool1", PoolSpec())
     fire("fire1")
     fire("fire2")
-    add("pool3", "pool", PoolSpec())
+    add("pool3", PoolSpec())
     fire("fire3")
     fire("fire4")
-    add("pool5", "pool", PoolSpec())
+    add("pool5", PoolSpec())
     fire("fire5")
     fire("fire6")
     fire("fire7")
     fire("fire8")
-    add("pool9", "pool", PoolSpec())
+    add("pool9", PoolSpec())
     fire("fire9")
-    add("pool10", "pool", PoolSpec())
+    add("pool10", PoolSpec())
     fire("fire10")
-    add("conv12_1", "conv", ConvSpec(51, stride=2))
-    add("conv12_2", "conv", ConvSpec(46))
-    add("conv13_1", "conv", ConvSpec(55))
-    add("conv13_2", "conv", ConvSpec(85, stride=2))
+    add("conv12_1", ConvSpec(51, stride=2))
+    add("conv12_2", ConvSpec(46))
+    add("conv13_1", ConvSpec(55))
+    add("conv13_2", ConvSpec(85, stride=2))
 
     heads = []
     for source, priors in _HEAD_SOURCES:
         loc = f"{source}_mbox_loc"
         conf = f"{source}_mbox_conf"
-        layers.append(LayerSpec(loc, "conv", ConvSpec(priors * 4, activation="none"), (source,)))
-        layers.append(
-            LayerSpec(conf, "conv", ConvSpec(priors * CLASS_COUNT, activation="none"), (source,))
-        )
+        layers.append(LayerSpec(loc, ConvSpec(priors * 4, activation="none"), (source,)))
+        layers.append(LayerSpec(conf, ConvSpec(priors * CLASS_COUNT, activation="none"), (source,)))
         heads.append(HeadSpec(source, loc, conf, priors))
 
     return ArchSpec(layers=tuple(layers), heads=tuple(heads))
 
 
-def validate(spec: ArchSpec) -> None:
-    """Structural validation: unique names, known kinds, acyclic single-input
-    wiring, and head predictors consistent with priors-per-cell."""
+def validate(spec: ArchSpec) -> list[tuple[str, tuple[Step, ...]]]:
+    """Structural validation: the graph checks of :func:`lower`, which also
+    raises GeometryError for a layer that cannot run at spec.input_size, then
+    head predictors consistent with priors-per-cell. Returns the lowering."""
     if spec.class_count < 2:
         raise SpecError(f"class_count must be >= 2, got {spec.class_count}")
     if spec.input_size < 1 or spec.input_channels < 1:
         raise SpecError("input size and channels must be positive")
-    seen = set()
-    for layer in spec.layers:
-        if layer.name == INPUT_NAME:
-            raise SpecError(f"layer name {INPUT_NAME!r} is reserved for the network input")
-        if layer.name in seen:
-            raise SpecError(f"duplicate layer name {layer.name!r}")
-        expected = _GEOMETRY_KINDS.get(layer.kind)
-        if expected is None:
-            raise SpecError(f"{layer.name}: unknown layer kind {layer.kind!r}")
-        if not isinstance(layer.geometry, expected):
-            raise SpecError(
-                f"{layer.name}: kind {layer.kind!r} needs {expected.__name__} geometry, "
-                f"got {type(layer.geometry).__name__}"
-            )
-        if len(layer.inputs) != 1:
-            raise SpecError(f"{layer.name}: expected exactly one input, got {layer.inputs}")
-        upstream = layer.inputs[0]
-        if upstream != INPUT_NAME and upstream not in seen:
-            raise SpecError(
-                f"{layer.name}: input {upstream!r} is not declared earlier "
-                "(cycle or forward reference)"
-            )
-        seen.add(layer.name)
-
+    lowered = lower(spec)
+    declared = {name for name, _ in lowered}
     for head in spec.heads:
         for role, name in (("source", head.source), ("loc", head.loc), ("conf", head.conf)):
-            if name not in seen:
+            if name not in declared:
                 raise SpecError(f"head {role} layer {name!r} is not declared")
         if head.priors_per_cell < 1:
             raise SpecError(f"head at {head.source}: priors_per_cell must be >= 1")
@@ -206,17 +191,17 @@ def validate(spec: ArchSpec) -> None:
                     f"head {role} layer {name!r} has {layer.geometry.out_channels} channels, "
                     f"expected {want} for {head.priors_per_cell} priors"
                 )
+    return lowered
 
 
 _CANONICAL_SIZES = (37, 18, 9, 4, 2, 1)
-_CANONICAL_PRIORS = (4, 6, 6, 6, 6, 4)
 
 
 def validate_canonical(spec: ArchSpec) -> None:
     """Full validation for the shipping architecture: ten fire modules and
     exactly six detection scales at spatial sizes 37/18/9/4/2/1 with
     4/6/6/6/6/4 priors per cell."""
-    validate(spec)
+    shapes = {name: steps[-1].out_shape for name, steps in validate(spec)}
     fire_count = sum(1 for layer in spec.layers if layer.kind == "fire")
     if fire_count != 10:
         raise SpecError(f"expected exactly 10 fire layers, found {fire_count}")
@@ -224,8 +209,7 @@ def validate_canonical(spec: ArchSpec) -> None:
         raise SpecError(f"expected exactly 6 detection sources, found {len(spec.heads)}")
     if spec.class_count != CLASS_COUNT or spec.input_size != INPUT_SIZE:
         raise SpecError("canonical spec must use 21 classes on a 300x300 input")
-    shapes = dict(intermediate_shapes(spec))
-    for head, size, priors in zip(spec.heads, _CANONICAL_SIZES, _CANONICAL_PRIORS):
+    for head, size, (_, priors) in zip(spec.heads, _CANONICAL_SIZES, _HEAD_SOURCES):
         _, h, w = shapes[head.source]
         if (h, w) != (size, size):
             raise SpecError(
@@ -271,10 +255,8 @@ def _step(name, op, inputs, g, known) -> Step:
     elif op == "pool":
         shape = (c, pool_out_extent(h, g.kernel[0], g.stride, g.rounding),
                  pool_out_extent(w, g.kernel[1], g.stride, g.rounding))
-    elif op == "concat":
+    else:  # concat
         shape = (sum(known[i][0] for i in inputs), h, w)
-    else:
-        raise SpecError(f"{name}: unknown layer kind {op!r}")
     if shape[1] < 1 or shape[2] < 1:
         raise GeometryError(f"{name}: output extent {shape[1]}x{shape[2]} on {h}x{w} input")
     known[name] = shape
@@ -288,16 +270,25 @@ def lower(spec: ArchSpec, input_size: int | None = None) -> list[tuple[str, tupl
     1x1 squeeze conv, then parallel 1x1 and pad-1 3x3 expand convs, joined by
     a concat named after the layer; nothing else knows this. The last step's
     output is the layer's output. Runs without weights; raises SpecError for
-    an undeclared input and GeometryError for a non-positive extent.
+    a duplicate or reserved name, a layer without exactly one input, an
+    undeclared input or an unknown geometry type, and GeometryError for a
+    non-positive extent.
     """
     size = spec.input_size if input_size is None else input_size
     shapes = {INPUT_NAME: (spec.input_channels, size, size)}
     lowered = []
     for layer in spec.layers:
+        if layer.name == INPUT_NAME:
+            raise SpecError(f"layer name {INPUT_NAME!r} is reserved for the network input")
+        if layer.name in shapes:
+            raise SpecError(f"duplicate layer name {layer.name!r}")
+        if len(layer.inputs) != 1:
+            raise SpecError(f"{layer.name}: expected exactly one input, got {layer.inputs}")
         upstream = layer.inputs[0]
         if upstream not in shapes:
             raise SpecError(
-                f"{layer.name}: input {upstream!r} is not declared earlier (malformed graph)"
+                f"{layer.name}: input {upstream!r} is not declared earlier "
+                "(cycle or forward reference)"
             )
         known = {upstream: shapes[upstream]}  # sub-step shapes stay inside the layer
         g = layer.geometry
@@ -318,10 +309,7 @@ def lower(spec: ArchSpec, input_size: int | None = None) -> list[tuple[str, tupl
 
 def intermediate_shapes(spec: ArchSpec, input_size: int | None = None) -> list[tuple[str, tuple[int, int, int]]]:
     """Static (channels, height, width) output shape of every layer, in order.
-
-    Runs without weights; raises GeometryError if any layer's output extent
-    would be non-positive.
-    """
+    Runs without weights and raises what :func:`lower` raises."""
     return [(name, steps[-1].out_shape) for name, steps in lower(spec, input_size)]
 
 
@@ -362,22 +350,24 @@ def describe_text(spec: ArchSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Dump key of each dataclass field whose key is not its field name.
+_JSON_KEYS = {"has_bias": "bias"}
+
+
+def _fields_to_json(obj) -> dict:
+    return {_JSON_KEYS.get(f.name, f.name): getattr(obj, f.name) for f in fields(obj)}
+
+
+def _fields_from_json(cls, entry: dict):
+    """cls from the dump keys of its fields; JSON lists become tuples."""
+    values = (entry[_JSON_KEYS.get(f.name, f.name)] for f in fields(cls))
+    return cls(*(tuple(v) if isinstance(v, list) else v for v in values))
+
+
 def spec_to_json(spec: ArchSpec) -> str:
     """Machine-readable dump; round-trips through :func:`spec_from_json`."""
-    layers = []
-    for layer in spec.layers:
-        entry = {"name": layer.name, "kind": layer.kind, "inputs": list(layer.inputs)}
-        g = layer.geometry
-        if layer.kind == "conv":
-            entry.update(
-                out_channels=g.out_channels, kernel=list(g.kernel), stride=g.stride,
-                pad=g.pad, bias=g.has_bias, activation=g.activation,
-            )
-        elif layer.kind == "pool":
-            entry.update(kernel=list(g.kernel), stride=g.stride, rounding=g.rounding)
-        else:
-            entry.update(squeeze=g.squeeze, expand1x1=g.expand1x1, expand3x3=g.expand3x3)
-        layers.append(entry)
+    layers = [{"name": layer.name, "kind": layer.kind, "inputs": list(layer.inputs),
+               **_fields_to_json(layer.geometry)} for layer in spec.layers]
     doc = {
         "format": "tinyssd-arch",
         "version": 1,
@@ -385,10 +375,7 @@ def spec_to_json(spec: ArchSpec) -> str:
         "input_channels": spec.input_channels,
         "class_count": spec.class_count,
         "layers": layers,
-        "heads": [
-            {"source": h.source, "loc": h.loc, "conf": h.conf, "priors_per_cell": h.priors_per_cell}
-            for h in spec.heads
-        ],
+        "heads": [_fields_to_json(h) for h in spec.heads],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -406,27 +393,12 @@ def spec_from_json(text: str) -> ArchSpec:
     try:
         layers = []
         for entry in doc["layers"]:
-            kind = entry["kind"]
-            if kind == "conv":
-                g = ConvSpec(
-                    out_channels=entry["out_channels"], kernel=tuple(entry["kernel"]),
-                    stride=entry["stride"], pad=entry["pad"], has_bias=entry["bias"],
-                    activation=entry["activation"],
-                )
-            elif kind == "pool":
-                g = PoolSpec(
-                    kernel=tuple(entry["kernel"]), stride=entry["stride"],
-                    rounding=entry["rounding"],
-                )
-            elif kind == "fire":
-                g = FireConfig(entry["squeeze"], entry["expand1x1"], entry["expand3x3"])
-            else:
-                raise SpecError(f"unknown layer kind {kind!r}")
-            layers.append(LayerSpec(entry["name"], kind, g, tuple(entry["inputs"])))
-        heads = tuple(
-            HeadSpec(h["source"], h["loc"], h["conf"], h["priors_per_cell"])
-            for h in doc["heads"]
-        )
+            geometry_type = _GEOMETRY_KINDS.get(entry["kind"])
+            if geometry_type is None:
+                raise SpecError(f"unknown layer kind {entry['kind']!r}")
+            g = _fields_from_json(geometry_type, entry)
+            layers.append(LayerSpec(entry["name"], g, tuple(entry["inputs"])))
+        heads = tuple(_fields_from_json(HeadSpec, h) for h in doc["heads"])
         spec = ArchSpec(
             layers=tuple(layers), heads=heads, class_count=doc["class_count"],
             input_size=doc["input_size"], input_channels=doc["input_channels"],

@@ -22,10 +22,6 @@ class HeadOutput:
     loc: np.ndarray
     conf: np.ndarray
 
-    @property
-    def prior_count(self) -> int:
-        return self.loc.shape[1]
-
 
 def _run_step(step, inputs: list[Tensor], store) -> Tensor:
     g = step.geometry
@@ -66,7 +62,7 @@ def fire_forward(x: Tensor, cfg: FireConfig, store, name: str = "fire") -> Tenso
     ``<name>/expand3x3`` weight/bias blobs. Spatial extents are preserved;
     output channels are expand1x1 + expand3x3.
     """
-    layer = LayerSpec(name, "fire", cfg, (INPUT_NAME,))
+    layer = LayerSpec(name, cfg, (INPUT_NAME,))
     spec = ArchSpec(layers=(layer,), input_size=x.h, input_channels=x.c)
     return activations(spec, store, x)[name]
 

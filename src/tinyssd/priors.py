@@ -51,7 +51,6 @@ class ScalePriors:
 @dataclass(frozen=True)
 class PriorConfig:
     scales: tuple[ScalePriors, ...]
-    variances: tuple[float, float] = DEFAULT_VARIANCES
     input_size: int = 300
 
     def __post_init__(self):
@@ -133,8 +132,7 @@ def _center_form(boxes: np.ndarray):
     return cx, cy, w, h
 
 
-def decode_boxes(loc: np.ndarray, priors: PriorSet, variances=DEFAULT_VARIANCES,
-                 clip: bool = True) -> np.ndarray:
+def decode_boxes(loc: np.ndarray, priors: PriorSet, clip: bool = True) -> np.ndarray:
     """Apply predicted center/size offsets to the priors; corner-form result.
 
     loc rows must be finite; rows that are not are rejected with the first
@@ -151,7 +149,7 @@ def decode_boxes(loc: np.ndarray, priors: PriorSet, variances=DEFAULT_VARIANCES,
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise ShapeError(f"non-finite offsets rejected (first at row {bad})")
-    v0, v1 = variances
+    v0, v1 = DEFAULT_VARIANCES
     pcx, pcy, pw, ph = _center_form(priors.boxes)
     cx = pcx + loc[:, 0] * v0 * pw
     cy = pcy + loc[:, 1] * v0 * ph
@@ -211,8 +209,7 @@ def nms_per_class(scores: np.ndarray, boxes: np.ndarray, iou_threshold: float,
 
 
 def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,
-           iou_threshold: float = 0.45, top_k: int = 200,
-           variances=DEFAULT_VARIANCES) -> list[Detection]:
+           iou_threshold: float = 0.45, top_k: int = 200) -> list[Detection]:
     """Single-image post-processing: softmax, per-class threshold + NMS,
     then a global top_k cap. Detections come back sorted by descending
     score (ties: class, then prior index); class 0 never appears.
@@ -237,7 +234,7 @@ def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,
     decoded = np.zeros_like(loc, dtype=np.float64)
     if finite.any():
         sub = PriorSet(boxes=priors.boxes[finite])
-        decoded[finite] = decode_boxes(loc[finite], sub, variances, clip=True)
+        decoded[finite] = decode_boxes(loc[finite], sub, clip=True)
 
     picked: list[tuple[float, int, int]] = []  # (-score, class_id, prior index)
     for class_id in range(1, conf.shape[1]):

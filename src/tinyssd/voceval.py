@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import time
 import xml.etree.ElementTree as ET
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -60,36 +61,30 @@ PARSE_CHUNK_LINES = 4096
 _CLASS_INDEX = {name: i for i, name in enumerate(VOC_CLASSES)}
 
 
-def _parse_lines(lines, first: int, image_codes: dict[str, int]):
-    """Parse line by line, numbering the lines from first; raises on the
-    first bad line."""
-    image, classes, values = [], [], []
+def _raise_first_bad_line(lines, first: int):
+    """Raise the FormatError that names the first bad line of lines, which
+    are numbered from first."""
     for lineno, line in enumerate(lines, start=first):
-        text = line.strip()
-        if not text:
+        parts = line.split()
+        if not parts:
             continue
-        parts = text.split()
         if len(parts) != 7:
             raise FormatError(f"detection line {lineno}: expected 7 fields, got {len(parts)}")
-        image_id, class_name = parts[0], parts[1]
-        if class_name not in VOC_CLASSES:
-            raise FormatError(f"detection line {lineno}: unknown class name {class_name!r}")
+        if parts[1] not in _CLASS_INDEX:
+            raise FormatError(f"detection line {lineno}: unknown class name {parts[1]!r}")
         try:
             row = [float(v) for v in parts[2:]]
         except ValueError:
             raise FormatError(f"detection line {lineno}: non-numeric field") from None
         if not all(map(math.isfinite, row)):
             raise FormatError(f"detection line {lineno}: non-finite score or coordinate")
-        image.append(image_codes.setdefault(image_id, len(image_codes)))
-        classes.append(_CLASS_INDEX[class_name])
-        values.append(row)
-    return (np.array(image, dtype=np.intp), np.array(classes, dtype=np.intp),
-            np.array(values, dtype=np.float64).reshape(-1, 5).T)
+    raise AssertionError("the column parse rejected a chunk without a bad line")
 
 
 def _parse_chunk(lines: list[str], first: int, image_codes: dict[str, int]):
-    """One chunk of lines as _parse_lines gives it, from one split of the
-    whole chunk. On any bad line, _parse_lines runs instead and names it."""
+    """One chunk of lines, numbered from first, as (n,) image codes, (n,)
+    class indices and (5, n) values, from one split of the whole chunk. A bad
+    line raises a FormatError that names it."""
     if set(map(len, map(str.split, lines))) <= {0, 7}:
         tokens = "\n".join(lines).split()  # "\n", so unterminated lines stay apart
         n = len(tokens) // 7
@@ -103,7 +98,7 @@ def _parse_chunk(lines: list[str], first: int, image_codes: dict[str, int]):
             if np.isfinite(values).all():
                 image = [image_codes.setdefault(i, len(image_codes)) for i in tokens[0::7]]
                 return np.array(image, dtype=np.intp), classes, values
-    return _parse_lines(lines, first, image_codes)
+    _raise_first_bad_line(lines, first)
 
 
 def _parse_columns(lines):
@@ -130,13 +125,23 @@ def parse_detection_lines(lines) -> list[DetectionRecord]:
     ]
 
 
-def read_detection_file(path) -> list[str]:
-    """The lines of a UTF-8 detection file, with universal newlines."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.readlines()
-    except UnicodeDecodeError:
-        pass
+def read_detection_file(path) -> Iterator[str]:
+    """The lines of a UTF-8 detection file, with universal newlines, read as
+    they are consumed. The call opens the file, so a missing file fails at
+    once; closing the iterator closes the file."""
+    lines = _stream_lines(path)
+    next(lines)  # runs up to the open
+    return lines
+
+
+def _stream_lines(path) -> Iterator[str]:
+    with open(path, encoding="utf-8") as f:
+        yield ""  # the file is open
+        try:
+            yield from f
+            return
+        except UnicodeDecodeError:
+            pass
     try:  # the streaming decoder counts offsets within its chunk, so decode the whole file
         Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
@@ -278,11 +283,8 @@ def _eval_class(image, scores, boxes, truth_image, truth_boxes, difficult,
     return _interpolated_ap(recalls, precisions), np.column_stack((recalls, precisions))
 
 
-def evaluate(detections, truths: list[GroundTruthBox], iou_match: float = 0.5,
-             protocol: str = "voc2007") -> EvalResult:
+def evaluate(detections, truths: list[GroundTruthBox], iou_match: float = 0.5) -> EvalResult:
     """Score emission-format detection lines against ground truth."""
-    if protocol != "voc2007":
-        raise FormatError(f"unsupported protocol {protocol!r}; only 'voc2007' is implemented")
     start = time.perf_counter()
     image_codes, image, classes, values = _parse_columns(detections)
     parsed = time.perf_counter()

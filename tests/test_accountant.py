@@ -82,7 +82,7 @@ def test_param_count_invariant_to_input_size(spec):
 
 def test_minimal_conv_audit():
     layers = (
-        LayerSpec("only", "conv", ConvSpec(1, kernel=(1, 1), pad=0), ("image",)),
+        LayerSpec("only", ConvSpec(1, kernel=(1, 1), pad=0), ("image",)),
     )
     mini = ArchSpec(layers=layers, input_size=7, input_channels=1)
     report = audit(mini)
@@ -91,7 +91,7 @@ def test_minimal_conv_audit():
 
 
 def test_pool_only_audit():
-    layers = (LayerSpec("p", "pool", PoolSpec(), ("image",)),)
+    layers = (LayerSpec("p", PoolSpec(), ("image",)),)
     mini = ArchSpec(layers=layers, input_size=8, input_channels=1)
     report = audit(mini)
     assert report.total_params == 0

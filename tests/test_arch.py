@@ -1,4 +1,6 @@
 import hashlib
+import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -77,7 +79,7 @@ def test_shape_inference_scales_with_input(spec):
 
 
 def test_geometry_error_on_impossible_layer():
-    layers = (LayerSpec("c", "conv", ConvSpec(1, kernel=(9, 9), pad=0), ("image",)),)
+    layers = (LayerSpec("c", ConvSpec(1, kernel=(9, 9), pad=0), ("image",)),)
     bad = ArchSpec(layers=layers, input_size=4)
     with pytest.raises(GeometryError, match="c"):
         intermediate_shapes(bad)
@@ -92,8 +94,8 @@ def test_missing_head_fails_canonical_validation(spec):
 
 def test_duplicate_layer_name_rejected():
     layers = (
-        LayerSpec("a", "conv", ConvSpec(1), ("image",)),
-        LayerSpec("a", "conv", ConvSpec(1), ("a",)),
+        LayerSpec("a", ConvSpec(1), ("image",)),
+        LayerSpec("a", ConvSpec(1), ("a",)),
     )
     with pytest.raises(SpecError, match="duplicate"):
         validate(ArchSpec(layers=layers))
@@ -101,17 +103,18 @@ def test_duplicate_layer_name_rejected():
 
 def test_forward_reference_rejected():
     layers = (
-        LayerSpec("a", "conv", ConvSpec(1), ("b",)),
-        LayerSpec("b", "conv", ConvSpec(1), ("image",)),
+        LayerSpec("a", ConvSpec(1), ("b",)),
+        LayerSpec("b", ConvSpec(1), ("image",)),
     )
     with pytest.raises(SpecError, match="cycle or forward reference"):
         validate(ArchSpec(layers=layers))
 
 
-def test_unknown_kind_rejected():
-    layers = (LayerSpec("a", "norm", ConvSpec(1), ("image",)),)
-    with pytest.raises(SpecError, match="unknown layer kind"):
-        validate(ArchSpec(layers=layers))
+def test_json_rejects_unknown_kind(spec):
+    doc = json.loads(spec_to_json(spec))
+    doc["layers"][1]["kind"] = "norm"
+    with pytest.raises(SpecError, match="unknown layer kind 'norm'"):
+        spec_from_json(json.dumps(doc))
 
 
 def test_head_channel_mismatch_rejected(spec):
@@ -120,10 +123,16 @@ def test_head_channel_mismatch_rejected(spec):
         validate(ArchSpec(layers=spec.layers, heads=heads))
 
 
-def test_kind_geometry_pairing_enforced():
-    layers = (LayerSpec("a", "pool", ConvSpec(1), ("image",)),)
-    with pytest.raises(SpecError, match="PoolSpec"):
-        validate(ArchSpec(layers=layers))
+def test_unknown_geometry_type_rejected():
+    @dataclass(frozen=True)
+    class NormSpec:
+        eps: float = 1e-5
+
+    spec = ArchSpec(layers=(LayerSpec("a", NormSpec(), ("image",)),))
+    with pytest.raises(SpecError, match="a: unknown geometry type NormSpec"):
+        validate(spec)
+    with pytest.raises(SpecError, match="NormSpec"):
+        spec_to_json(spec)
 
 
 def test_describe_contains_fire5_row(spec):

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import warnings
 
@@ -51,6 +52,14 @@ def test_describe_struct_round_trips(capsys):
     assert main(["describe", "--format", "struct"]) == 0
     out = capsys.readouterr().out
     assert spec_from_json(out) == tiny_ssd_spec()
+
+
+def test_describe_struct_output_is_pinned(capsys):
+    """The dump is built from the geometry fields; its keys and their order
+    must not move with them."""
+    assert main(["describe", "--format", "struct"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "2013bfe0438c85e3f94cdd7a67bc6f5b1b198b1baa3410cd4ba3e2e6b2f704ab"
 
 
 def test_audit_check_passes_with_defaults(capsys):

@@ -121,7 +121,7 @@ def test_bad_blob_shape_error_names_layer(spec, store, test_image):
 
 def test_malformed_graph_detected_at_execution():
     layers = (
-        LayerSpec("a", "conv", ConvSpec(1, kernel=(1, 1), pad=0), ("ghost",)),
+        LayerSpec("a", ConvSpec(1, kernel=(1, 1), pad=0), ("ghost",)),
     )
     spec = ArchSpec(layers=layers)
     store = WeightStore()
@@ -131,8 +131,20 @@ def test_malformed_graph_detected_at_execution():
         activations(spec, store, Tensor.zeros(1, 1, 4, 4))
 
 
+def test_duplicate_layer_name_rejected_at_execution():
+    layers = (
+        LayerSpec("a", ConvSpec(1, kernel=(1, 1), pad=0), ("image",)),
+        LayerSpec("a", ConvSpec(1, kernel=(1, 1), pad=0), ("a",)),
+    )
+    store = WeightStore()
+    store.add("a/w", np.ones((1, 1, 1, 1)))
+    store.add("a/b", np.zeros(1))
+    with pytest.raises(SpecError, match="duplicate layer name 'a'"):
+        activations(ArchSpec(layers=layers), store, Tensor.zeros(1, 1, 4, 4))
+
+
 def test_headless_spec_cannot_forward():
-    layers = (LayerSpec("a", "conv", ConvSpec(1, kernel=(1, 1), pad=0), ("image",)),)
+    layers = (LayerSpec("a", ConvSpec(1, kernel=(1, 1), pad=0), ("image",)),)
     spec = ArchSpec(layers=layers, input_size=4, input_channels=1)
     store = WeightStore()
     store.add("a/w", np.ones((1, 1, 1, 1)))
@@ -146,9 +158,9 @@ def test_headless_spec_cannot_forward():
 def test_prior_row_ordering_matches_channel_layout():
     """Head flattening must put the per-cell prior index innermost."""
     layers = (
-        LayerSpec("feat", "conv", ConvSpec(2, kernel=(1, 1), pad=0, activation="none"), ("image",)),
-        LayerSpec("loc", "conv", ConvSpec(8, kernel=(1, 1), pad=0, activation="none"), ("feat",)),
-        LayerSpec("conf", "conv", ConvSpec(4, kernel=(1, 1), pad=0, activation="none"), ("feat",)),
+        LayerSpec("feat", ConvSpec(2, kernel=(1, 1), pad=0, activation="none"), ("image",)),
+        LayerSpec("loc", ConvSpec(8, kernel=(1, 1), pad=0, activation="none"), ("feat",)),
+        LayerSpec("conf", ConvSpec(4, kernel=(1, 1), pad=0, activation="none"), ("feat",)),
     )
     spec = ArchSpec(
         layers=layers, heads=(HeadSpec("feat", "loc", "conf", 2),),

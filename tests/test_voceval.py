@@ -108,7 +108,13 @@ def test_read_detection_file_names_file_byte_offset(tmp_path):
     path = tmp_path / "dets.txt"
     path.write_bytes(line.encode() * 3000 + b"\xff\n")
     with pytest.raises(FormatError, match=f"invalid UTF-8 at byte {len(line) * 3000}$"):
-        read_detection_file(path)
+        list(read_detection_file(path))
+
+
+def test_read_detection_file_opens_at_the_call(tmp_path):
+    """A missing file fails before any line is consumed."""
+    with pytest.raises(FileNotFoundError):
+        read_detection_file(tmp_path / "missing.txt")
 
 
 def test_perfect_detection_scores_one():
@@ -178,11 +184,6 @@ def test_classes_without_ground_truth_excluded():
     assert "cat" not in result.class_aps
     assert result.mean_ap == pytest.approx(1.0)
     assert "(no ground truth)" in format_eval_report(result)
-
-
-def test_unsupported_protocol_rejected():
-    with pytest.raises(FormatError, match="protocol"):
-        evaluate([], [], protocol="voc2010")
 
 
 def test_randomized_instances_match_reference():
@@ -355,7 +356,8 @@ def test_well_formed_lines_never_take_the_line_loop():
     lines = [_line("a", "dog", 0.9, (0.1, 0.1, 0.5, 0.5)),
              _line("b", "cat", 0.5, (0.2, 0.3, 0.6, 0.9)) + "\n", "  \n", "",
              _line("a", "car", 0.1, (0.0, 0.0, 1.0, 1.0))]
-    with mock.patch.object(voceval, "_parse_lines", side_effect=AssertionError("line loop")):
+    with mock.patch.object(voceval, "_raise_first_bad_line",
+                           side_effect=AssertionError("line loop")):
         records = parse_detection_lines(lines)
     assert records == parse_lines_reference(lines)
 
