@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import accountant, image, modelio, priors, voceval
 from .arch import describe_text, param_manifest, spec_to_json, tiny_ssd_spec
-from .errors import TinySSDError
+from .errors import ConfigError, TinySSDError
 from .network import forward
 from .tensor import TNSR_MAGIC, read_tnsr
 
@@ -100,6 +100,9 @@ def _load_input_tensor(path):
 
 
 def _cmd_detect(args) -> int:
+    image_id = args.image_id if args.image_id is not None else Path(args.image).stem
+    if args.out == "lines" and image_id.split() != [image_id]:
+        raise ConfigError(f"image id {image_id!r} must be one token without whitespace")
     spec = tiny_ssd_spec()
     store = modelio.load_weights(args.model, manifest=param_manifest(spec))
     tensor, pixels = _load_input_tensor(args.image)
@@ -113,12 +116,8 @@ def _cmd_detect(args) -> int:
     elapsed = time.perf_counter() - start
     print(f"inference in {elapsed * 1e3:.1f} ms, {len(found)} detection(s)", file=sys.stderr)
     if args.out == "annotated-ppm":
-        annotated = image.annotate(pixels, found)
-        h, w, _ = annotated.shape
-        sys.stdout.buffer.write(f"P6\n{w} {h}\n255\n".encode())
-        sys.stdout.buffer.write(annotated.astype("uint8").tobytes())
+        sys.stdout.buffer.write(image.encode_ppm(image.annotate(pixels, found)))
     else:
-        image_id = args.image_id if args.image_id is not None else Path(args.image).stem
         for det in found:
             print(priors.format_detection_line(image_id, det))
     return 0

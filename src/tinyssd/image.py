@@ -3,6 +3,8 @@ and detection-box rendering."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .arch import INPUT_SIZE
@@ -65,14 +67,17 @@ def read_ppm(path) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8, count=need).reshape(height, width, 3).copy()
 
 
-def write_ppm(path, pixels: np.ndarray) -> None:
+def encode_ppm(pixels: np.ndarray) -> bytes:
+    """(h, w, 3) pixels, clipped to 0..255, as the bytes of a binary P6 file."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise ShapeError(f"PPM writer needs (h, w, 3) pixels, got {pixels.shape}")
     h, w, _ = pixels.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(np.clip(pixels, 0, 255).astype(np.uint8).tobytes())
+    return f"P6\n{w} {h}\n255\n".encode() + np.clip(pixels, 0, 255).astype(np.uint8).tobytes()
+
+
+def write_ppm(path, pixels: np.ndarray) -> None:
+    Path(path).write_bytes(encode_ppm(pixels))
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

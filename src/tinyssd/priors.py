@@ -13,12 +13,10 @@ from .errors import ConfigError, ShapeError
 from .network import HeadOutput
 from .ops import softmax_rows
 
-# SSD300-lineage box sizes in input pixels, one (min, max) pair per scale.
-DEFAULT_MIN_SIZES = (30.0, 60.0, 111.0, 162.0, 213.0, 264.0)
-DEFAULT_MAX_SIZES = (60.0, 111.0, 162.0, 213.0, 264.0, 315.0)
+# SSD300-lineage box-size ladder in input pixels: scale k spans entries k
+# (min size) and k + 1 (max size).
+DEFAULT_BOX_SIZES = (30.0, 60.0, 111.0, 162.0, 213.0, 264.0, 315.0)
 DEFAULT_VARIANCES = (0.1, 0.2)
-# Largest per-class candidate count whose IoU table NMS computes in one call.
-NMS_TABLE_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ class ScalePriors:
 @dataclass(frozen=True)
 class PriorConfig:
     scales: tuple[ScalePriors, ...]
-    input_size: int = 300
+    input_size: int
 
     def __post_init__(self):
         for s in self.scales:
@@ -87,11 +85,11 @@ class Detection:
 
 def tiny_ssd_prior_config(spec: ArchSpec) -> PriorConfig:
     """Prior layout matching a spec's head scales, with the default box sizes."""
-    if len(spec.heads) != len(DEFAULT_MIN_SIZES):
+    if len(spec.heads) != len(DEFAULT_BOX_SIZES) - 1:
         raise ConfigError(f"default sizes cover 6 scales, spec has {len(spec.heads)}")
     shapes = dict(intermediate_shapes(spec))
     scales = []
-    for head, mn, mx in zip(spec.heads, DEFAULT_MIN_SIZES, DEFAULT_MAX_SIZES):
+    for head, mn, mx in zip(spec.heads, DEFAULT_BOX_SIZES, DEFAULT_BOX_SIZES[1:]):
         _, h, _ = shapes[head.source]
         ratios = (2.0,) if head.priors_per_cell == 4 else (2.0, 3.0)
         scales.append(ScalePriors(h, head.priors_per_cell, mn, mx, ratios))
@@ -177,34 +175,36 @@ def iou(a, b) -> np.ndarray:
 
 
 def nms_per_class(scores: np.ndarray, boxes: np.ndarray, iou_threshold: float,
-                  max_keep: int | None = None) -> list[int]:
-    """Greedy suppression; returns kept indices into the input arrays.
+                  max_keep: int | None = None, classes: np.ndarray | None = None) -> list[int]:
+    """Greedy suppression within each class; returns kept indices into the
+    input arrays in output order: descending score, then class label, then
+    index. Without classes every box is of one class.
 
-    Candidates are visited by descending score, ties broken by lower
-    original index; a box is kept iff its IoU with every previously kept
-    box is <= the threshold. Each kept box drops the later candidates it
-    overlaps with one IoU row. With max_keep, the walk stops after that
-    many kept boxes, which equals the first max_keep of the full result.
+    A box is kept iff its IoU with every kept box of its class that ranks
+    above it is <= the threshold. The walk visits boxes in output order, so
+    those rivals have all been decided before it; each kept box drops the
+    later boxes of its class that it overlaps with one IoU row. With
+    max_keep, the walk stops after that many kept boxes in total, which
+    equals the first max_keep of the full result.
     """
     if max_keep is not None and max_keep < 0:
         raise ConfigError(f"max_keep must be >= 0, got {max_keep}")
-    scores = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")
-    boxes = np.asarray(boxes, dtype=np.float64)[order]
-    alive = np.ones(len(order), dtype=bool)
-    limit = len(order) if max_keep is None else max_keep
-    # A few candidates cost less as one table than as a call per kept box;
-    # the table has no more rows than the walk could keep.
-    table = iou(boxes[:, None], boxes) if len(order) <= min(limit, NMS_TABLE_MAX) else None
+    neg = -np.asarray(scores, dtype=np.float64)
+    labels = np.zeros(len(neg), dtype=np.int64) if classes is None else np.asarray(classes)
+    run = np.lexsort((neg, labels))  # class-major, each class in rank order
+    boxes = np.asarray(boxes, dtype=np.float64)[run]
+    labels = labels[run]
+    alive = np.ones(len(run), dtype=bool)
+    limit = len(run) if max_keep is None else max_keep
     kept: list[int] = []
-    for i in range(len(order)):
+    for p in np.lexsort((labels, neg[run])):
         if len(kept) >= limit:
             break
-        if not alive[i]:
+        if not alive[p]:
             continue
-        kept.append(int(order[i]))
-        row = iou(boxes[i:i + 1], boxes[i + 1:]) if table is None else table[i, i + 1:]
-        alive[i + 1:] &= row <= iou_threshold
+        kept.append(int(run[p]))
+        end = np.searchsorted(labels, labels[p], side="right")
+        alive[p + 1:end] &= iou(boxes[p:p + 1], boxes[p + 1:end]) <= iou_threshold
     return kept
 
 
@@ -214,10 +214,10 @@ def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,
     then a global top_k cap. Detections come back sorted by descending
     score (ties: class, then prior index); class 0 never appears.
 
-    NMS stops each class at top_k kept boxes. A box's fate depends only on
-    the higher-ranked boxes of its class, and a class's later survivors
-    rank below its first top_k, so the output is that of full NMS while
-    the work is at most top_k IoU rows per class.
+    One NMS walk ranks every class's candidates together and stops at top_k
+    kept boxes. A box's fate depends only on the higher-ranked boxes of its
+    class, so the output is that of full NMS while the work is at most top_k
+    IoU rows.
     """
     if top_k < 0:
         raise ConfigError(f"top_k must be >= 0, got {top_k}")
@@ -236,17 +236,11 @@ def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,
         sub = PriorSet(boxes=priors.boxes[finite])
         decoded[finite] = decode_boxes(loc[finite], sub, clip=True)
 
-    picked: list[tuple[float, int, int]] = []  # (-score, class_id, prior index)
-    for class_id in range(1, conf.shape[1]):
-        scores = probs[:, class_id]
-        mask = (scores >= conf_threshold) & finite
-        if not mask.any():
-            continue
-        idx = np.flatnonzero(mask)
-        kept = nms_per_class(scores[idx], decoded[idx], iou_threshold, max_keep=top_k)
-        picked.extend((-float(scores[i]), class_id, int(i)) for i in idx[kept])
-    picked.sort()
-    return [Detection(c, -neg, tuple(decoded[i])) for neg, c, i in picked[:top_k]]
+    # Candidates class-major, priors ascending within a class; class 0 is background.
+    cls, prior = np.nonzero((probs[:, 1:] >= conf_threshold).T & finite)
+    scores = probs[prior, cls + 1]
+    kept = nms_per_class(scores, decoded[prior], iou_threshold, max_keep=top_k, classes=cls)
+    return [Detection(int(cls[k]) + 1, float(scores[k]), tuple(decoded[prior[k]])) for k in kept]
 
 
 def format_detection_line(image_id: str, det: Detection) -> str:

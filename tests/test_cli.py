@@ -217,6 +217,39 @@ def test_detect_to_eval_round_trip(model_path, ppm_path, tmp_path, capsys):
     assert "mAP" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("image_id", ["a b", "", "tab\there"])
+def test_detect_rejects_id_eval_cannot_split(model_path, ppm_path, capsys, image_id):
+    code = main(["detect", "--model", str(model_path), "--image", str(ppm_path),
+                 "--image-id", image_id])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"image id {image_id!r}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_detect_rejects_spaced_stem_before_loading_model(ppm_path, tmp_path, capsys):
+    spaced = tmp_path / "my scene.ppm"
+    spaced.write_bytes(ppm_path.read_bytes())
+    code = main(["detect", "--model", str(tmp_path / "absent.tssd"), "--image", str(spaced)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "image id 'my scene'" in captured.err
+
+
+def test_detect_spaced_stem_ok_with_id_or_annotated_ppm(model_path, ppm_path, tmp_path,
+                                                         capsysbinary):
+    spaced = tmp_path / "my scene.ppm"
+    spaced.write_bytes(ppm_path.read_bytes())
+    base = ["detect", "--model", str(model_path), "--image", str(spaced), "--conf", "0.01"]
+    assert main(base + ["--image-id", "my_scene", "--top-k", "3"]) == 0
+    records = parse_detection_lines(capsysbinary.readouterr().out.decode().splitlines())
+    assert [r.image_id for r in records] == ["my_scene"] * 3
+    assert main(base + ["--out", "annotated-ppm"]) == 0
+    assert capsysbinary.readouterr().out.startswith(b"P6\n160 120\n255\n")
+
+
 def test_detect_negative_top_k_is_error(model_path, ppm_path, capsys):
     code = main(["detect", "--model", str(model_path), "--image", str(ppm_path),
                  "--top-k", "-1"])

@@ -10,7 +10,7 @@ from tinyssd.errors import ConfigError
 from tinyssd.network import HeadOutput
 from tinyssd.priors import PriorSet, detect, nms_per_class
 
-from reference import detect_reference, random_corner_boxes
+from reference import detect_reference, nms_reference, random_corner_boxes
 
 # nms_reference builds a full pairwise table, so examples are kept to at
 # most this many (candidate, candidate) pairs summed over classes.
@@ -75,10 +75,38 @@ def test_nms_max_keep_is_a_prefix(seed, n, decimals, iou, max_keep):
     assert nms_per_class(scores, boxes, iou, max_keep=max_keep) == full[:max_keep]
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 300),
+    n_classes=st.integers(1, 5),
+    decimals=st.sampled_from([None, 1]),
+    iou=st.sampled_from([0.0, 0.3, 0.45, 0.7]),
+    max_keep=st.integers(0, 300),
+)
+def test_class_aware_nms_equals_merged_per_class_reference(seed, n, n_classes, decimals,
+                                                           iou, max_keep):
+    """One walk over labelled boxes keeps what per-class NMS keeps, merged
+    by (-score, class, index) and cut at max_keep."""
+    rng = np.random.default_rng(seed)
+    boxes = random_corner_boxes(rng, n)
+    scores = rng.uniform(0.0, 1.0, n)
+    if decimals is not None:  # coarse scores give ties within and across classes
+        scores = np.round(scores, decimals)
+    labels = rng.integers(0, n_classes, n)
+    merged = []
+    for c in range(n_classes):
+        idx = np.flatnonzero(labels == c)
+        merged += [(-scores[i], c, int(i)) for i in idx[nms_reference(scores[idx], boxes[idx], iou)]]
+    want = [i for _, _, i in sorted(merged)[:max_keep]]
+    assert nms_per_class(scores, boxes, iou, max_keep=max_keep, classes=labels) == want
+
+
 @pytest.mark.parametrize("top_k", [1, 200])
 def test_suppression_rows_bounded_by_top_k(prior_set, monkeypatch, top_k):
     """Every prior passes for all 20 classes at conf 0 (160,600 candidates);
-    NMS still computes at most 20 * top_k IoU rows."""
+    detect makes one NMS call over all of them, which computes at most
+    top_k IoU rows."""
     n = len(prior_set)
     candidates, rows = [], []
     real_nms, real_iou = priors.nms_per_class, priors.iou
@@ -95,8 +123,8 @@ def test_suppression_rows_bounded_by_top_k(prior_set, monkeypatch, top_k):
     monkeypatch.setattr(priors, "iou", counting_iou)
     head = _head(np.zeros((n, 4)), np.zeros((n, 21)))
     found = detect(head, prior_set, conf_threshold=0.0, top_k=top_k)
-    assert sum(candidates) == 20 * n == 160_600
-    assert sum(rows) <= 20 * top_k
+    assert candidates == [20 * n] == [160_600]
+    assert sum(rows) <= top_k
     assert len(found) == top_k
 
 
