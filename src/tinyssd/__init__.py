@@ -17,7 +17,6 @@ from .arch import (
     spec_to_json,
     tiny_ssd_spec,
     validate,
-    validate_canonical,
 )
 from .errors import (
     ConfigError,
@@ -37,7 +36,7 @@ from .modelio import (
     quantize_fp16,
     save_weights,
 )
-from .network import HeadOutput, activations, fire_forward, forward
+from .network import HeadOutput, activations, forward
 from .ops import concat_channels, conv2d, maxpool2d, relu, softmax_rows
 from .priors import (
     Detection,

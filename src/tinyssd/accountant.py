@@ -34,10 +34,10 @@ class AuditReport:
         return self.fp16_bytes / 1e6
 
 
-def audit(spec: ArchSpec, input_size: int | None = None) -> AuditReport:
+def audit(spec: ArchSpec) -> AuditReport:
     """Per-layer and total resource accounting for one input image."""
     layers = []
-    for name, steps in lower(spec, input_size):
+    for name, steps in lower(spec):
         convs = [step for step in steps if step.op == "conv"]
         params = sum(prod(shape) for step in convs for _, shape in step.blobs)
         # one MAC per weight per output position
@@ -86,9 +86,13 @@ class Comparison:
         return all(c.passed for c in self.checks)
 
 
+# Relative tolerances of the params, MACs and fp16-size checks.
+TOL_PARAMS, TOL_MACS, TOL_SIZE = 0.06, 0.10, 0.06
+
+
 def compare(report: AuditReport, reference: ReferenceClaims = ReferenceClaims(),
-            tol_params: float = 0.06, tol_macs: float = 0.10,
-            tol_size: float = 0.06) -> Comparison:
+            tol_params: float = TOL_PARAMS, tol_macs: float = TOL_MACS,
+            tol_size: float = TOL_SIZE) -> Comparison:
     """Relative deviation of the audited totals from the reference claims."""
 
     def check(metric, actual, ref, tol):

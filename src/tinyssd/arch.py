@@ -160,16 +160,15 @@ def tiny_ssd_spec() -> ArchSpec:
     return ArchSpec(layers=tuple(layers), heads=tuple(heads))
 
 
-def validate(spec: ArchSpec) -> list[tuple[str, tuple[Step, ...]]]:
+def validate(spec: ArchSpec) -> None:
     """Structural validation: the graph checks of :func:`lower`, which also
     raises GeometryError for a layer that cannot run at spec.input_size, then
-    head predictors consistent with priors-per-cell. Returns the lowering."""
+    head predictors consistent with priors-per-cell."""
     if spec.class_count < 2:
         raise SpecError(f"class_count must be >= 2, got {spec.class_count}")
     if spec.input_size < 1 or spec.input_channels < 1:
         raise SpecError("input size and channels must be positive")
-    lowered = lower(spec)
-    declared = {name for name, _ in lowered}
+    declared = {name for name, _ in lower(spec)}
     for head in spec.heads:
         for role, name in (("source", head.source), ("loc", head.loc), ("conf", head.conf)):
             if name not in declared:
@@ -191,35 +190,6 @@ def validate(spec: ArchSpec) -> list[tuple[str, tuple[Step, ...]]]:
                     f"head {role} layer {name!r} has {layer.geometry.out_channels} channels, "
                     f"expected {want} for {head.priors_per_cell} priors"
                 )
-    return lowered
-
-
-_CANONICAL_SIZES = (37, 18, 9, 4, 2, 1)
-
-
-def validate_canonical(spec: ArchSpec) -> None:
-    """Full validation for the shipping architecture: ten fire modules and
-    exactly six detection scales at spatial sizes 37/18/9/4/2/1 with
-    4/6/6/6/6/4 priors per cell."""
-    shapes = {name: steps[-1].out_shape for name, steps in validate(spec)}
-    fire_count = sum(1 for layer in spec.layers if layer.kind == "fire")
-    if fire_count != 10:
-        raise SpecError(f"expected exactly 10 fire layers, found {fire_count}")
-    if len(spec.heads) != 6:
-        raise SpecError(f"expected exactly 6 detection sources, found {len(spec.heads)}")
-    if spec.class_count != CLASS_COUNT or spec.input_size != INPUT_SIZE:
-        raise SpecError("canonical spec must use 21 classes on a 300x300 input")
-    for head, size, (_, priors) in zip(spec.heads, _CANONICAL_SIZES, _HEAD_SOURCES):
-        _, h, w = shapes[head.source]
-        if (h, w) != (size, size):
-            raise SpecError(
-                f"head source {head.source!r} is {h}x{w}, expected {size}x{size}"
-            )
-        if head.priors_per_cell != priors:
-            raise SpecError(
-                f"head at {head.source!r} has {head.priors_per_cell} priors per cell, "
-                f"expected {priors}"
-            )
 
 
 @dataclass(frozen=True)
@@ -263,8 +233,9 @@ def _step(name, op, inputs, g, known) -> Step:
     return Step(name, op, inputs, g, (c, h, w), shape)
 
 
-def lower(spec: ArchSpec, input_size: int | None = None) -> list[tuple[str, tuple[Step, ...]]]:
-    """Each layer, in declared order, as its name and its primitive steps.
+def lower(spec: ArchSpec) -> list[tuple[str, tuple[Step, ...]]]:
+    """Each layer, in declared order, as its name and its primitive steps,
+    with shapes at spec.input_size.
 
     Conv and pool layers are one step of the same name. A fire layer is a
     1x1 squeeze conv, then parallel 1x1 and pad-1 3x3 expand convs, joined by
@@ -274,8 +245,7 @@ def lower(spec: ArchSpec, input_size: int | None = None) -> list[tuple[str, tupl
     undeclared input or an unknown geometry type, and GeometryError for a
     non-positive extent.
     """
-    size = spec.input_size if input_size is None else input_size
-    shapes = {INPUT_NAME: (spec.input_channels, size, size)}
+    shapes = {INPUT_NAME: (spec.input_channels, spec.input_size, spec.input_size)}
     lowered = []
     for layer in spec.layers:
         if layer.name == INPUT_NAME:
@@ -307,10 +277,10 @@ def lower(spec: ArchSpec, input_size: int | None = None) -> list[tuple[str, tupl
     return lowered
 
 
-def intermediate_shapes(spec: ArchSpec, input_size: int | None = None) -> list[tuple[str, tuple[int, int, int]]]:
+def intermediate_shapes(spec: ArchSpec) -> list[tuple[str, tuple[int, int, int]]]:
     """Static (channels, height, width) output shape of every layer, in order.
     Runs without weights and raises what :func:`lower` raises."""
-    return [(name, steps[-1].out_shape) for name, steps in lower(spec, input_size)]
+    return [(name, steps[-1].out_shape) for name, steps in lower(spec)]
 
 
 def param_manifest(spec: ArchSpec) -> list[tuple[str, tuple[int, ...]]]:

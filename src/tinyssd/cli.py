@@ -20,6 +20,9 @@ from .tensor import TNSR_MAGIC, read_tnsr
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)  # no "--iou" for "--iou-match"
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -34,12 +37,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("audit", help="parameter/MAC/size audit against reference claims")
     p.add_argument("--check", action="store_true", help="exit 3 when a tolerance check fails")
-    p.add_argument("--ref-params", type=float, default=1.13e6)
-    p.add_argument("--ref-macs", type=float, default=571.09e6)
-    p.add_argument("--ref-size-mb", type=float, default=2.3)
-    p.add_argument("--tol-params", type=float, default=0.06)
-    p.add_argument("--tol-macs", type=float, default=0.10)
-    p.add_argument("--tol-size", type=float, default=0.06)
+    p.add_argument("--ref-params", type=float, default=accountant.ReferenceClaims.params)
+    p.add_argument("--ref-macs", type=float, default=accountant.ReferenceClaims.macs)
+    p.add_argument("--ref-size-mb", type=float, default=accountant.ReferenceClaims.fp16_mb)
+    p.add_argument("--tol-params", type=float, default=accountant.TOL_PARAMS)
+    p.add_argument("--tol-macs", type=float, default=accountant.TOL_MACS)
+    p.add_argument("--tol-size", type=float, default=accountant.TOL_SIZE)
 
     p = sub.add_parser("detect", help="run detection on one image")
     p.add_argument("--model", required=True)

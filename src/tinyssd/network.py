@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import INPUT_NAME, ArchSpec, FireConfig, LayerSpec, lower
+from .arch import INPUT_NAME, ArchSpec, lower
 from .errors import ShapeError, SpecError, TinySSDError
 from .ops import concat_channels, conv2d, maxpool2d, relu
 from .tensor import Tensor
@@ -36,13 +36,16 @@ def _run_step(step, inputs: list[Tensor], store) -> Tensor:
 def activations(spec: ArchSpec, store, image: Tensor) -> dict[str, Tensor]:
     """Run every layer in declared order and return all named outputs.
 
-    The outputs of a layer's inner steps, such as a fire module's squeeze,
-    are dropped when the layer finishes. Any failure is reported with the
-    offending layer's name.
+    The image must be (n, input_channels, input_size, input_size) of the
+    spec. The outputs of a layer's inner steps, such as a fire module's
+    squeeze, are dropped when the layer finishes. Any failure is reported
+    with the offending layer's name.
     """
+    want = (spec.input_channels, spec.input_size, spec.input_size)
+    if image.shape[1:] != want:
+        raise ShapeError(f"input image shape {image.shape[1:]} != expected {want}")
     computed = {INPUT_NAME: image}
-    # lowered at the image's own size, so the static extent checks match it
-    for name, steps in lower(spec, image.h):
+    for name, steps in lower(spec):
         scope = ChainMap({}, computed)
         try:
             for step in steps:
@@ -53,18 +56,6 @@ def activations(spec: ArchSpec, store, image: Tensor) -> dict[str, Tensor]:
             raise type(e)(f"{name}: {e}") from None
         computed[name] = scope[name]
     return computed
-
-
-def fire_forward(x: Tensor, cfg: FireConfig, store, name: str = "fire") -> Tensor:
-    """Squeeze to cfg.squeeze channels, then concatenate the two expand paths.
-
-    ``store`` must hold ``<name>/squeeze``, ``<name>/expand1x1`` and
-    ``<name>/expand3x3`` weight/bias blobs. Spatial extents are preserved;
-    output channels are expand1x1 + expand3x3.
-    """
-    layer = LayerSpec(name, cfg, (INPUT_NAME,))
-    spec = ArchSpec(layers=(layer,), input_size=x.h, input_channels=x.c)
-    return activations(spec, store, x)[name]
 
 
 def _prior_rows(t: Tensor, width: int, name: str) -> np.ndarray:
@@ -80,9 +71,6 @@ def forward(spec: ArchSpec, store, image: Tensor) -> HeadOutput:
     """Full forward pass; conf logits are returned un-softmaxed."""
     if not spec.heads:
         raise SpecError("spec declares no detection heads")
-    want = (spec.input_channels, spec.input_size, spec.input_size)
-    if image.shape[1:] != want:
-        raise ShapeError(f"input image shape {image.shape[1:]} != expected {want}")
     # A finite but huge input can overflow float32 or meet inf - inf in a GEMM.
     # detect never emits a row made non-finite that way, so no warning is due.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -57,10 +57,6 @@ class PriorConfig:
                 # SSD convention allows the last max_size to slightly exceed the input
                 raise ConfigError(f"max_size {s.max_size} too large for input {self.input_size}")
 
-    @property
-    def total_priors(self) -> int:
-        return sum(s.feature_size ** 2 * s.priors_per_cell for s in self.scales)
-
 
 @dataclass(frozen=True)
 class PriorSet:
@@ -221,6 +217,10 @@ def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,
     """
     if top_k < 0:
         raise ConfigError(f"top_k must be >= 0, got {top_k}")
+    if not math.isfinite(conf_threshold):
+        raise ConfigError(f"conf_threshold must be finite, got {conf_threshold}")
+    if not 0 <= iou_threshold <= 1:
+        raise ConfigError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
     if head.loc.ndim != 3 or head.loc.shape[0] != 1:
         raise ShapeError(f"detect expects a single-image HeadOutput, got loc {head.loc.shape}")
     loc = head.loc[0]
@@ -233,8 +233,7 @@ def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,
     probs = softmax_rows(conf)
     decoded = np.zeros_like(loc, dtype=np.float64)
     if finite.any():
-        sub = PriorSet(boxes=priors.boxes[finite])
-        decoded[finite] = decode_boxes(loc[finite], sub, clip=True)
+        decoded[finite] = decode_boxes(loc[finite], PriorSet(boxes=priors.boxes[finite]))
 
     # Candidates class-major, priors ascending within a class; class 0 is background.
     cls, prior = np.nonzero((probs[:, 1:] >= conf_threshold).T & finite)

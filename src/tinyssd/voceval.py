@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .arch import VOC_CLASSES
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .priors import iou
 
 RECALL_POINTS = tuple(i / 10 for i in range(11))
@@ -285,6 +285,8 @@ def _eval_class(image, scores, boxes, truth_image, truth_boxes, difficult,
 
 def evaluate(detections, truths: list[GroundTruthBox], iou_match: float = 0.5) -> EvalResult:
     """Score emission-format detection lines against ground truth."""
+    if not 0 <= iou_match <= 1:
+        raise ConfigError(f"iou_match must be in [0, 1], got {iou_match}")
     start = time.perf_counter()
     image_codes, image, classes, values = _parse_columns(detections)
     parsed = time.perf_counter()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ def test_fp16_size_formula(spec):
 
 def test_param_count_invariant_to_input_size(spec):
     base = audit(spec)
-    bigger = audit(spec, input_size=600)
+    bigger = audit(replace(spec, input_size=600))
     assert bigger.total_params == base.total_params
     assert bigger.total_macs > 3 * base.total_macs
 

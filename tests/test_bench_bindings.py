@@ -1,0 +1,19 @@
+"""Names the benchmark under perfbench/ binds. Deleting one fails here, in
+the tier-1 suite, rather than in a benchmark run."""
+
+from pathlib import Path
+
+from tinyssd import priors, voceval
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_bound_names_exist(monkeypatch):
+    # perfbench/reference.py is not imported: its module name is tests/reference.py's
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    with spans.Tracer().installed():  # looks up every TRACE_POINTS name
+        pass
+    assert callable(voceval.parse_detection_lines)
+    assert "boxes" in priors.PriorSet.__dataclass_fields__

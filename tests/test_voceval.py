@@ -125,6 +125,13 @@ def test_perfect_detection_scores_one():
     assert result.mean_ap == pytest.approx(1.0)
 
 
+def test_iou_match_bounds_are_inclusive():
+    gt = [GroundTruthBox("a", "dog", (0.1, 0.1, 0.5, 0.5))]
+    lines = [_line("a", "dog", 1.0, (0.1, 0.1, 0.5, 0.5))]
+    assert evaluate(lines, gt, iou_match=1.0).mean_ap == 1.0  # an exact box has IoU 1
+    assert evaluate(lines, gt, iou_match=0.0).mean_ap == 1.0
+
+
 def test_low_overlap_scores_zero():
     gt = [GroundTruthBox("a", "dog", (0.0, 0.0, 0.5, 0.5))]
     # IoU = 0.25/(1.0) vs (0,0,1,1)? use a clearly sub-threshold box
