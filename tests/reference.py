@@ -76,6 +76,79 @@ def maxpool_reference(x, kernel, stride, rounding):
     return out
 
 
+def _conv_taps_reference(x, weights, bias, stride, pad):
+    """(c, h, w) float64 conv as a sum over the kh*kw taps of one channel
+    contraction each, over a zero-padded copy of x."""
+    oc, c, kh, kw = weights.shape
+    x = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    out_h = (x.shape[1] - kh) // stride + 1
+    out_w = (x.shape[2] - kw) // stride + 1
+    out = np.zeros((oc, out_h, out_w))
+    for dy in range(kh):
+        for dx in range(kw):
+            shifted = x[:, dy:dy + (out_h - 1) * stride + 1:stride,
+                        dx:dx + (out_w - 1) * stride + 1:stride]
+            out += np.einsum("oc,chw->ohw", weights[:, :, dy, dx], shifted)
+    return out if bias is None else out + bias[:, None, None]
+
+
+def _pool_shift_reference(x, kernel, stride, rounding):
+    """(c, h, w) max-pool: one max over the strided tap slices of a copy of x
+    padded with -inf on the right and bottom, so border windows are clipped."""
+    _, h, w = x.shape
+    kh, kw = kernel
+    rnd = math.ceil if rounding == "ceil" else math.floor
+
+    def count(extent, k):
+        out = rnd((extent - k) / stride) + 1
+        return out - 1 if rounding == "ceil" and (out - 1) * stride >= extent else out
+
+    out_h, out_w = count(h, kh), count(w, kw)
+    span_h, span_w = (out_h - 1) * stride + 1, (out_w - 1) * stride + 1
+    x = np.pad(x, ((0, 0), (0, kh), (0, kw)), constant_values=-np.inf)
+    taps = [x[:, dy:dy + span_h:stride, dx:dx + span_w:stride]
+            for dy in range(kh) for dx in range(kw)]
+    return np.max(taps, axis=0)
+
+
+def forward_reference(spec, store, image):
+    """Whole-network float64 forward pass, as (loc, conf) in HeadOutput layout.
+
+    Walks ``spec.layers`` directly, without ``tinyssd.arch.lower``: a conv is
+    ``_conv_taps_reference`` with an optional ReLU, a pool is
+    ``_pool_shift_reference``, and a fire layer is expanded here (ReLU'd 1x1
+    squeeze, then ReLU'd 1x1 and pad-1 3x3 expands of it, concatenated in
+    that order). Every value stays float64; weights are read from ``store``
+    by blob name.
+    """
+    def conv(x, name, stride, pad, relu=True, has_bias=True):
+        w = np.asarray(store[f"{name}/w"], dtype=np.float64)
+        b = np.asarray(store[f"{name}/b"], dtype=np.float64) if has_bias else None
+        out = _conv_taps_reference(x, w, b, stride, pad)
+        return np.maximum(out, 0.0) if relu else out
+
+    locs, confs = [], []
+    for x in np.asarray(image.data, dtype=np.float64):
+        acts = {"image": x}
+        for layer in spec.layers:
+            src, g, name = acts[layer.inputs[0]], layer.geometry, layer.name
+            if layer.kind == "conv":
+                out = conv(src, name, g.stride, g.pad, g.activation == "relu", g.has_bias)
+            elif layer.kind == "pool":
+                out = _pool_shift_reference(src, g.kernel, g.stride, g.rounding)
+            else:
+                squeezed = conv(src, f"{name}/squeeze", 1, 0)
+                out = np.concatenate([conv(squeezed, f"{name}/expand1x1", 1, 0),
+                                      conv(squeezed, f"{name}/expand3x3", 1, 1)])
+            acts[name] = out
+        # each head map (b*k, h, w) -> rows (h*w*b, k), prior index innermost
+        locs.append(np.concatenate([acts[h.loc].transpose(1, 2, 0).reshape(-1, 4)
+                                    for h in spec.heads]))
+        confs.append(np.concatenate([acts[h.conf].transpose(1, 2, 0).reshape(-1, spec.class_count)
+                                     for h in spec.heads]))
+    return np.stack(locs), np.stack(confs)
+
+
 def iou_reference(a, b):
     ax0, ay0, ax1, ay1 = a
     bx0, by0, bx1, by1 = b
