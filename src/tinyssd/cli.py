@@ -23,6 +23,14 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)  # no "--iou" for "--iou-match"
 
+    def parse_known_args(self, args=None, namespace=None):
+        # A subcommand reports its own leftovers, under its own usage line;
+        # argparse would hand them up to the top-level parser.
+        parsed, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parsed, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -106,6 +114,7 @@ def _cmd_detect(args) -> int:
     image_id = args.image_id if args.image_id is not None else Path(args.image).stem
     if args.out == "lines" and image_id.split() != [image_id]:
         raise ConfigError(f"image id {image_id!r} must be one token without whitespace")
+    priors.check_thresholds(args.conf, args.iou, args.top_k)
     spec = tiny_ssd_spec()
     store = modelio.load_weights(args.model, manifest=param_manifest(spec))
     tensor, pixels = _load_input_tensor(args.image)
@@ -127,6 +136,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    voceval.check_iou_match(args.iou_match)
     lines = voceval.read_detection_file(args.detections)
     truths = voceval.load_annotation_dir(args.annotations)
     result = voceval.evaluate(lines, truths, iou_match=args.iou_match)

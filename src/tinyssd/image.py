@@ -81,41 +81,56 @@ def write_ppm(path, pixels: np.ndarray) -> None:
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Pixel-center-aligned bilinear resampling; identity when sizes match."""
-    img = np.asarray(img, dtype=np.float64)
+    """Pixel-center-aligned bilinear resampling of (h, w) or (h, w, c) values
+    to float64; identity when sizes match.
+
+    Rows, then columns, are gathered in the input's dtype, so only the four
+    (c, out_h, out_w) corner planes are widened: work and memory are bounded
+    by the output, not the input. The (out_h, out_w, c) result is a view of
+    C-contiguous channel planes.
+    """
+    img = np.asarray(img)
     in_h, in_w = img.shape[:2]
     ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
     xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
     y0 = np.floor(ys).astype(np.int64)
     x0 = np.floor(xs).astype(np.int64)
-    fy = ys - y0
+    fy = (ys - y0)[:, None]
     fx = xs - x0
-    y0c = np.clip(y0, 0, in_h - 1)
-    y1c = np.clip(y0 + 1, 0, in_h - 1)
     x0c = np.clip(x0, 0, in_w - 1)
     x1c = np.clip(x0 + 1, 0, in_w - 1)
-    if img.ndim == 3:
-        fy = fy[:, None, None]
-        fx = fx[None, :, None]
-    else:
-        fy = fy[:, None]
-        fx = fx[None, :]
-    top = img[y0c][:, x0c] * (1 - fx) + img[y0c][:, x1c] * fx
-    bottom = img[y1c][:, x0c] * (1 - fx) + img[y1c][:, x1c] * fx
-    return top * (1 - fy) + bottom * fy
+
+    def planes(rows):  # (out_h, in_w[, c]) -> C-contiguous (c, out_h, in_w)
+        return np.ascontiguousarray(np.moveaxis(rows, 2, 0) if rows.ndim == 3 else rows[None])
+
+    top = planes(img[np.clip(y0, 0, in_h - 1)])
+    bottom = planes(img[np.clip(y0 + 1, 0, in_h - 1)])
+    # a*(1-fx) + b*fx per row pair, then top*(1-fy) + bottom*fy; np.multiply
+    # widens each gathered corner exactly, and the rest runs in place.
+    right = np.multiply(top[:, :, x1c], fx)
+    top = np.multiply(top[:, :, x0c], 1 - fx)
+    top += right
+    np.multiply(bottom[:, :, x1c], fx, out=right)
+    bottom = np.multiply(bottom[:, :, x0c], 1 - fx)
+    bottom += right
+    top *= 1 - fy
+    bottom *= fy
+    top += bottom
+    return np.moveaxis(top, 0, 2) if img.ndim == 3 else top[0]
 
 
 def preprocess_image(pixels: np.ndarray) -> Tensor:
     """RGB 8-bit pixels of any size -> 1x3x300x300 network input.
 
     Bilinear resize, RGB -> BGR channel swap, per-channel mean subtraction.
+    Work and memory are bounded by the 300x300 output (see bilinear_resize).
     """
     pixels = np.asarray(pixels)
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise ShapeError(f"expected (h, w, 3) RGB pixels, got {pixels.shape}")
-    resized = bilinear_resize(pixels.astype(np.float64), INPUT_SIZE, INPUT_SIZE)
-    bgr = resized[:, :, ::-1] - np.asarray(BGR_MEANS)
-    return Tensor(bgr.transpose(2, 0, 1)[None].astype(np.float32))
+    bgr = bilinear_resize(pixels, INPUT_SIZE, INPUT_SIZE).transpose(2, 0, 1)[::-1]
+    bgr -= np.asarray(BGR_MEANS)[:, None, None]
+    return Tensor(bgr[None].astype(np.float32))
 
 
 # One fixed RGB color per VOC class id (1..20), cycling a 10-color palette.

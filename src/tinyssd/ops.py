@@ -1,9 +1,11 @@
 """The five numeric kernels every layer of the network is built from, and
 the conv and pooling geometry they take.
 
-conv2d uses an im2col + matmul formulation with float64 accumulation;
-maxpool2d is an elementwise max over the kh*kw strided window taps. Outputs
-are float32. All functions are pure.
+conv2d builds a float32 im2col matrix and multiplies it in float32, in
+K-slices of at most GEMM_K_CHUNK rows added in a fixed ascending order, so
+its output does not depend on the BLAS thread count; maxpool2d is an
+elementwise max over the kh*kw strided window taps. Activations are stored
+as float32. All functions are pure.
 """
 
 from __future__ import annotations
@@ -69,6 +71,15 @@ def pool_out_extent(in_extent: int, kernel: int, stride: int, rounding: str) -> 
     return (in_extent - kernel) // stride + 1
 
 
+# Largest K (input channels x kernel taps) that one float32 GEMM call sums
+# over. With one GEMM over the whole K, OpenBLAS 0.3.31 rounded the fire4
+# heads (K = 1557) differently with 1 and 2 threads; K-slices of at most 512,
+# added in ascending order, were byte-identical, and slices of 1024 were not.
+# Timed over the whole forward pass on a 2-vCPU host, 256, 512 and 1024 were
+# within 5% of each other, so the largest size that stayed identical is used.
+GEMM_K_CHUNK = 512
+
+
 def conv2d(x: Tensor, g: ConvSpec, weights, bias=None, layer: str = "conv") -> Tensor:
     """Cross-correlate x with (out_channels, in_channels, kh, kw) weights over a
     zero-padded input; a missing bias adds zeros."""
@@ -92,16 +103,20 @@ def conv2d(x: Tensor, g: ConvSpec, weights, bias=None, layer: str = "conv") -> T
             f"gives non-positive output {out_h}x{out_w}"
         )
 
-    data = x.data.astype(np.float64)
+    data = x.data
     if g.pad:
         data = np.pad(data, ((0, 0), (0, 0), (g.pad, g.pad), (g.pad, g.pad)))
     windows = sliding_window_view(data, (kh, kw), axis=(2, 3))[:, :, :: g.stride, :: g.stride]
     # (n, c, oh, ow, kh, kw) -> (n, c*kh*kw, oh*ow)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
-    filt = weights.reshape(oc, c * kh * kw).astype(np.float64)
-    out = np.matmul(filt, cols).reshape(n, oc, out_h, out_w)
-    out += bias.astype(np.float64)[:, None, None]
-    return Tensor(out.astype(np.float32))
+    k = c * kh * kw
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, k, out_h * out_w)
+    filt = weights.reshape(oc, k)
+    out = np.matmul(filt[:, :GEMM_K_CHUNK], cols[:, :GEMM_K_CHUNK])
+    for start in range(GEMM_K_CHUNK, k, GEMM_K_CHUNK):
+        stop = start + GEMM_K_CHUNK
+        out += np.matmul(filt[:, start:stop], cols[:, start:stop])
+    out += bias[:, None]
+    return Tensor(out.reshape(n, oc, out_h, out_w))
 
 
 def maxpool2d(x: Tensor, g: PoolSpec, layer: str = "pool") -> Tensor:

@@ -204,6 +204,17 @@ def nms_per_class(scores: np.ndarray, boxes: np.ndarray, iou_threshold: float,
     return kept
 
 
+def check_thresholds(conf_threshold: float, iou_threshold: float, top_k: int) -> None:
+    """Raise ConfigError unless detect can run with these settings: a finite
+    conf_threshold, an iou_threshold in [0, 1] and a top_k of at least 0."""
+    if top_k < 0:
+        raise ConfigError(f"top_k must be >= 0, got {top_k}")
+    if not math.isfinite(conf_threshold):
+        raise ConfigError(f"conf_threshold must be finite, got {conf_threshold}")
+    if not 0 <= iou_threshold <= 1:
+        raise ConfigError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+
+
 def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,
            iou_threshold: float = 0.45, top_k: int = 200) -> list[Detection]:
     """Single-image post-processing: softmax, per-class threshold + NMS,
@@ -215,12 +226,7 @@ def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,
     class, so the output is that of full NMS while the work is at most top_k
     IoU rows.
     """
-    if top_k < 0:
-        raise ConfigError(f"top_k must be >= 0, got {top_k}")
-    if not math.isfinite(conf_threshold):
-        raise ConfigError(f"conf_threshold must be finite, got {conf_threshold}")
-    if not 0 <= iou_threshold <= 1:
-        raise ConfigError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+    check_thresholds(conf_threshold, iou_threshold, top_k)
     if head.loc.ndim != 3 or head.loc.shape[0] != 1:
         raise ShapeError(f"detect expects a single-image HeadOutput, got loc {head.loc.shape}")
     loc = head.loc[0]

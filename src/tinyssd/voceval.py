@@ -283,10 +283,15 @@ def _eval_class(image, scores, boxes, truth_image, truth_boxes, difficult,
     return _interpolated_ap(recalls, precisions), np.column_stack((recalls, precisions))
 
 
-def evaluate(detections, truths: list[GroundTruthBox], iou_match: float = 0.5) -> EvalResult:
-    """Score emission-format detection lines against ground truth."""
+def check_iou_match(iou_match: float) -> None:
+    """Raise ConfigError unless iou_match is in [0, 1]."""
     if not 0 <= iou_match <= 1:
         raise ConfigError(f"iou_match must be in [0, 1], got {iou_match}")
+
+
+def evaluate(detections, truths: list[GroundTruthBox], iou_match: float = 0.5) -> EvalResult:
+    """Score emission-format detection lines against ground truth."""
+    check_iou_match(iou_match)
     start = time.perf_counter()
     image_codes, image, classes, values = _parse_columns(detections)
     parsed = time.perf_counter()

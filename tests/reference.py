@@ -149,6 +149,31 @@ def forward_reference(spec, store, image):
     return np.stack(locs), np.stack(confs)
 
 
+def bilinear_reference(img, out_h, out_w):
+    """Pixel-center-aligned bilinear resampling of (h, w, c) values, one
+    output value at a time in Python floats, as an (out_h, out_w, c) float64
+    array. Each sample is a*(1-fx) + b*fx along both source rows, then
+    top*(1-fy) + bottom*fy, with source indices clamped to the image."""
+    img = np.asarray(img)
+    in_h, in_w, channels = img.shape
+    out = np.empty((out_h, out_w, channels))
+    for i in range(out_h):
+        y = (i + 0.5) * (in_h / out_h) - 0.5
+        y0 = math.floor(y)
+        fy = y - y0
+        ya, yb = min(max(y0, 0), in_h - 1), min(max(y0 + 1, 0), in_h - 1)
+        for j in range(out_w):
+            x = (j + 0.5) * (in_w / out_w) - 0.5
+            x0 = math.floor(x)
+            fx = x - x0
+            xa, xb = min(max(x0, 0), in_w - 1), min(max(x0 + 1, 0), in_w - 1)
+            for ch in range(channels):
+                top = float(img[ya, xa, ch]) * (1 - fx) + float(img[ya, xb, ch]) * fx
+                bottom = float(img[yb, xa, ch]) * (1 - fx) + float(img[yb, xb, ch]) * fx
+                out[i, j, ch] = top * (1 - fy) + bottom * fy
+    return out
+
+
 def iou_reference(a, b):
     ax0, ay0, ax1, ay1 = a
     bx0, by0, bx1, by1 = b

@@ -300,6 +300,31 @@ def test_abbreviated_flag_is_usage_error(capsys):
     assert "unrecognized arguments: --iou 0.3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["detect", "--model", "{missing}", "--image", "{missing}", "--conf", "nan"],
+     "conf_threshold must be finite, got nan"),
+    (["detect", "--model", "{missing}", "--image", "{missing}", "--top-k", "-1"],
+     "top_k must be >= 0, got -1"),
+    (["eval", "--detections", "{missing}", "--annotations", "{missing}", "--iou-match", "2"],
+     "iou_match must be in [0, 1], got 2.0"),
+], ids=["detect-conf", "detect-top-k", "eval-iou-match"])
+def test_bad_threshold_is_reported_before_any_input_is_read(tmp_path, capsys, args, message):
+    missing = str(tmp_path / "missing")
+    assert main([a.format(missing=missing) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "missing" not in err
+
+
+def test_unknown_subcommand_flag_shows_subcommand_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--detections", "dets.txt", "--annotations", "ann", "--iou", "0.3"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tinyssd eval ")
+    assert "tinyssd eval: error: unrecognized arguments: --iou 0.3" in err
+
+
 def test_detect_nan_weight_is_format_error(model_path, ppm_path, tmp_path, capsys):
     raw = bytearray(model_path.read_bytes())
     # first conv1/w value: after the name, dtype tag, rank and four dims
