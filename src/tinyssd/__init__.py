@@ -1,7 +1,7 @@
 """Tiny SSD: a self-contained CPU inference engine and resource auditor for
 the 300x300 fire-module single-shot detector."""
 
-from .accountant import AuditReport, LayerAudit, ReferenceClaims, audit, compare
+from .accountant import AuditReport, LayerAudit, audit, compare
 from .arch import (
     VOC_CLASSES,
     ArchSpec,

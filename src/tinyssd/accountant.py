@@ -56,15 +56,6 @@ def audit(spec: ArchSpec) -> AuditReport:
 
 
 @dataclass(frozen=True)
-class ReferenceClaims:
-    """Published resource figures the audit is compared against."""
-
-    params: float = 1.13e6
-    macs: float = 571.09e6
-    fp16_mb: float = 2.3
-
-
-@dataclass(frozen=True)
 class MetricCheck:
     metric: str
     actual: float
@@ -86,22 +77,22 @@ class Comparison:
         return all(c.passed for c in self.checks)
 
 
-# Relative tolerances of the params, MACs and fp16-size checks.
-TOL_PARAMS, TOL_MACS, TOL_SIZE = 0.06, 0.10, 0.06
+# The paper's published resource figures: (metric, published value, relative
+# tolerance of the audited total).
+PUBLISHED = (
+    ("params", 1.13e6, 0.06),
+    ("macs", 571.09e6, 0.10),
+    ("fp16_mb", 2.3, 0.06),
+)
 
 
-def compare(report: AuditReport, reference: ReferenceClaims = ReferenceClaims(),
-            tol_params: float = TOL_PARAMS, tol_macs: float = TOL_MACS,
-            tol_size: float = TOL_SIZE) -> Comparison:
-    """Relative deviation of the audited totals from the reference claims."""
-
-    def check(metric, actual, ref, tol):
-        return MetricCheck(metric, actual, ref, (actual - ref) / ref, tol)
-
-    return Comparison(checks=(
-        check("params", float(report.total_params), reference.params, tol_params),
-        check("macs", float(report.total_macs), reference.macs, tol_macs),
-        check("fp16_mb", report.fp16_mb, reference.fp16_mb, tol_size),
+def compare(report: AuditReport) -> Comparison:
+    """Relative deviation of the audited totals from the PUBLISHED figures."""
+    actual = {"params": float(report.total_params), "macs": float(report.total_macs),
+              "fp16_mb": report.fp16_mb}
+    return Comparison(checks=tuple(
+        MetricCheck(metric, actual[metric], ref, (actual[metric] - ref) / ref, tol)
+        for metric, ref, tol in PUBLISHED
     ))
 
 

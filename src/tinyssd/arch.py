@@ -328,10 +328,32 @@ def _fields_to_json(obj) -> dict:
     return {_JSON_KEYS.get(f.name, f.name): getattr(obj, f.name) for f in fields(obj)}
 
 
-def _fields_from_json(cls, entry: dict):
-    """cls from the dump keys of its fields; JSON lists become tuples."""
-    values = (entry[_JSON_KEYS.get(f.name, f.name)] for f in fields(cls))
-    return cls(*(tuple(v) if isinstance(v, list) else v for v in values))
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # bool is an int subclass
+
+
+# Whether a dump value fits a field of each checked annotation: 2.0 and true
+# are no int. Strings are checked by the constructors or by validate.
+_JSON_FITS = {
+    "int": _is_int,
+    "tuple[int, int]": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+    "bool": lambda v: isinstance(v, bool),
+}
+
+
+def _json_values(cls, entry: dict, skip=()) -> dict:
+    """Field name -> dump value of each field of cls not in skip, checked
+    against the field's annotation; JSON lists become tuples."""
+    values = {}
+    for f in fields(cls):
+        if f.name in skip:
+            continue
+        key = _JSON_KEYS.get(f.name, f.name)
+        value = entry[key]
+        if f.type in _JSON_FITS and not _JSON_FITS[f.type](value):
+            raise SpecError(f"{cls.__name__} field {key!r} must be {f.type}, got {value!r}")
+        values[f.name] = tuple(value) if isinstance(value, list) else value
+    return values
 
 
 def spec_to_json(spec: ArchSpec) -> str:
@@ -366,13 +388,11 @@ def spec_from_json(text: str) -> ArchSpec:
             geometry_type = _GEOMETRY_KINDS.get(entry["kind"])
             if geometry_type is None:
                 raise SpecError(f"unknown layer kind {entry['kind']!r}")
-            g = _fields_from_json(geometry_type, entry)
+            g = geometry_type(**_json_values(geometry_type, entry))
             layers.append(LayerSpec(entry["name"], g, tuple(entry["inputs"])))
-        heads = tuple(_fields_from_json(HeadSpec, h) for h in doc["heads"])
-        spec = ArchSpec(
-            layers=tuple(layers), heads=heads, class_count=doc["class_count"],
-            input_size=doc["input_size"], input_channels=doc["input_channels"],
-        )
+        heads = tuple(HeadSpec(**_json_values(HeadSpec, h)) for h in doc["heads"])
+        spec = ArchSpec(layers=tuple(layers), heads=heads,
+                        **_json_values(ArchSpec, doc, skip=("layers", "heads")))
     except (KeyError, TypeError) as e:
         raise SpecError(f"malformed arch dump: {e!r}") from None
     validate(spec)

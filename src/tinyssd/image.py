@@ -81,8 +81,8 @@ def write_ppm(path, pixels: np.ndarray) -> None:
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Pixel-center-aligned bilinear resampling of (h, w) or (h, w, c) values
-    to float64; identity when sizes match.
+    """Pixel-center-aligned bilinear resampling of (h, w, c) values to
+    float64; identity when sizes match.
 
     Rows, then columns, are gathered in the input's dtype, so only the four
     (c, out_h, out_w) corner planes are widened: work and memory are bounded
@@ -100,8 +100,8 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x0c = np.clip(x0, 0, in_w - 1)
     x1c = np.clip(x0 + 1, 0, in_w - 1)
 
-    def planes(rows):  # (out_h, in_w[, c]) -> C-contiguous (c, out_h, in_w)
-        return np.ascontiguousarray(np.moveaxis(rows, 2, 0) if rows.ndim == 3 else rows[None])
+    def planes(rows):  # (out_h, in_w, c) -> C-contiguous (c, out_h, in_w)
+        return np.ascontiguousarray(np.moveaxis(rows, 2, 0))
 
     top = planes(img[np.clip(y0, 0, in_h - 1)])
     bottom = planes(img[np.clip(y0 + 1, 0, in_h - 1)])
@@ -116,7 +116,7 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     top *= 1 - fy
     bottom *= fy
     top += bottom
-    return np.moveaxis(top, 0, 2) if img.ndim == 3 else top[0]
+    return np.moveaxis(top, 0, 2)
 
 
 def preprocess_image(pixels: np.ndarray) -> Tensor:

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .arch import ArchSpec, param_manifest
-from .errors import FormatError, MissingBlobError, ShapeError
+from .errors import ConfigError, FormatError, MissingBlobError, ShapeError
 
 MODEL_MAGIC = b"TSSD"
 MODEL_VERSION = 1
@@ -205,7 +205,9 @@ def _check_manifest(store: WeightStore, manifest) -> None:
 
 
 def init_random(spec: ArchSpec, seed: int) -> WeightStore:
-    """Deterministic test-fixture weights: He-scaled normals, zero biases."""
+    """Deterministic test-fixture weights from a seed >= 0: He-scaled normals, zero biases."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     store = WeightStore()
     for name, shape in param_manifest(spec):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import INPUT_NAME, ArchSpec, lower
-from .errors import ShapeError, SpecError, TinySSDError
+from .errors import ShapeError, SpecError
 from .ops import concat_channels, conv2d, maxpool2d, relu
 from .tensor import Tensor
 
@@ -38,8 +38,8 @@ def activations(spec: ArchSpec, store, image: Tensor) -> dict[str, Tensor]:
 
     The image must be (n, input_channels, input_size, input_size) of the
     spec. The outputs of a layer's inner steps, such as a fire module's
-    squeeze, are dropped when the layer finishes. Any failure is reported
-    with the offending layer's name.
+    squeeze, are dropped when the layer finishes. Any failure names the
+    offending step or weight blob, whose name starts with its layer's.
     """
     want = (spec.input_channels, spec.input_size, spec.input_size)
     if image.shape[1:] != want:
@@ -47,13 +47,8 @@ def activations(spec: ArchSpec, store, image: Tensor) -> dict[str, Tensor]:
     computed = {INPUT_NAME: image}
     for name, steps in lower(spec):
         scope = ChainMap({}, computed)
-        try:
-            for step in steps:
-                scope[step.name] = _run_step(step, [scope[i] for i in step.inputs], store)
-        except TinySSDError as e:
-            if str(e).startswith(name):
-                raise
-            raise type(e)(f"{name}: {e}") from None
+        for step in steps:
+            scope[step.name] = _run_step(step, [scope[i] for i in step.inputs], store)
         computed[name] = scope[name]
     return computed
 

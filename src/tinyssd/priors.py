@@ -193,7 +193,7 @@ def nms_per_class(scores: np.ndarray, boxes: np.ndarray, iou_threshold: float,
     alive = np.ones(len(run), dtype=bool)
     limit = len(run) if max_keep is None else max_keep
     kept: list[int] = []
-    for p in np.lexsort((labels, neg[run])):
+    for p in np.argsort(neg[run], kind="stable"):  # run is class-major: ties go by class
         if len(kept) >= limit:
             break
         if not alive[p]:

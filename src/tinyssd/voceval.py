@@ -167,12 +167,11 @@ def _number(node, tag, path, kind=float):
     return value
 
 
-def parse_ground_truth(path, image_id: str | None = None) -> list[GroundTruthBox]:
+def parse_ground_truth(path) -> list[GroundTruthBox]:
     """Read a VOC-style annotation XML; boxes come back normalized by the
-    image size under the 1-based inclusive pixel convention."""
+    image size under the 1-based inclusive pixel convention, with the file
+    stem as their image id."""
     path = Path(path)
-    if image_id is None:
-        image_id = path.stem
     try:
         root = ET.parse(path).getroot()
     except ET.ParseError as e:
@@ -208,7 +207,7 @@ def parse_ground_truth(path, image_id: str | None = None) -> list[GroundTruthBox
         )
         if box[0] > box[2] or box[1] > box[3]:
             raise FormatError(f"{path}: inverted box {box} for object {name!r}")
-        boxes.append(GroundTruthBox(image_id, name, box, flag == "1"))
+        boxes.append(GroundTruthBox(path.stem, name, box, flag == "1"))
     return boxes
 
 

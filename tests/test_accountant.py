@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tinyssd.accountant import ReferenceClaims, audit, compare, format_audit_table, format_comparison
+from tinyssd import accountant
+from tinyssd.accountant import audit, compare, format_audit_table, format_comparison
 from tinyssd.arch import ArchSpec, ConvSpec, LayerSpec, PoolSpec, intermediate_shapes, param_manifest
 from tinyssd.modelio import model_file_size
 
@@ -100,21 +101,25 @@ def test_pool_only_audit():
     assert report.total_macs == 0
 
 
-def test_compare_exact_match_passes(spec):
+def _publish(monkeypatch, **figures):
+    """Replace the published value of each named metric, keeping its tolerance."""
+    table = tuple((m, figures.get(m, ref), tol) for m, ref, tol in accountant.PUBLISHED)
+    monkeypatch.setattr(accountant, "PUBLISHED", table)
+
+
+def test_compare_exact_match_passes(spec, monkeypatch):
     report = audit(spec)
-    reference = ReferenceClaims(
-        params=float(report.total_params),
-        macs=float(report.total_macs),
-        fp16_mb=report.fp16_mb,
-    )
-    cmp = compare(report, reference)
+    _publish(monkeypatch, params=float(report.total_params), macs=float(report.total_macs),
+             fp16_mb=report.fp16_mb)
+    cmp = compare(report)
     assert cmp.passed
     assert all(c.deviation == 0.0 for c in cmp.checks)
 
 
-def test_compare_deviation_arithmetic(spec):
+def test_compare_deviation_arithmetic(spec, monkeypatch):
     report = audit(spec)
-    cmp = compare(report, ReferenceClaims(params=report.total_params / 1.062))
+    _publish(monkeypatch, params=report.total_params / 1.062)
+    cmp = compare(report)
     params = cmp.checks[0]
     assert params.deviation == pytest.approx(0.062, rel=1e-9)
     assert not params.passed

@@ -144,6 +144,32 @@ def test_json_round_trip(spec):
     assert spec_from_json(spec_to_json(spec)) == spec
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("conv1", "out_channels", 57.5),
+    ("conv1", "stride", 2.0),
+    ("conv1", "stride", True),
+    ("conv1", "pad", 0.0),
+    ("conv1", "kernel", [3.0, 3]),
+    ("conv1", "kernel", [3, True]),
+    ("conv1", "kernel", [3, 3, 3]),
+    ("conv1", "bias", 1),
+    ("pool1", "stride", 2.0),
+    ("fire1", "squeeze", 15.0),
+    ("head", "priors_per_cell", 4.0),
+    ("doc", "input_size", 300.0),
+    ("doc", "input_channels", True),
+    ("doc", "class_count", 21.0),
+])
+def test_json_rejects_non_integer_counts(spec, section, key, value):
+    doc = json.loads(spec_to_json(spec))
+    entry = {"doc": doc, "head": doc["heads"][0]}.get(section)
+    if entry is None:
+        entry = next(e for e in doc["layers"] if e["name"] == section)
+    entry[key] = value
+    with pytest.raises(SpecError, match=f"field '{key}' must be"):
+        spec_from_json(json.dumps(doc))
+
+
 def test_json_rejects_garbage():
     with pytest.raises(SpecError):
         spec_from_json("{}")

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tinyssd import accountant
 from tinyssd.arch import param_manifest, spec_from_json, tiny_ssd_spec
 from tinyssd.cli import main
 from tinyssd.image import write_ppm
@@ -63,14 +64,34 @@ def test_describe_struct_output_is_pinned(capsys):
 
 
 def test_audit_check_passes_with_defaults(capsys):
-    assert main(["audit", "--check"]) == 0
+    assert main(["audit"]) == 0
     out = capsys.readouterr().out
     assert "fire5" in out
     assert "overall: PASS" in out
 
 
-def test_audit_check_fails_on_tight_reference():
-    assert main(["audit", "--check", "--ref-params", "2000000"]) == 3
+def test_audit_check_fails_on_tight_reference(monkeypatch, capsys):
+    tight = (("params", 2e6, 0.06),) + accountant.PUBLISHED[1:]
+    monkeypatch.setattr(accountant, "PUBLISHED", tight)
+    assert main(["audit"]) == 3
+    assert "overall: FAIL" in capsys.readouterr().out
+
+
+def test_audit_output_is_pinned(capsys):
+    """The audit of the canonical spec is a constant."""
+    assert main(["audit"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "342aa4dd4be37bf4af682dcd6aedf17fb01eebd48e431ff34a1febdfd40a8a06"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--check"], ["--ref-params", "2e6"], ["--ref-macs", "5e8"], ["--ref-size-mb", "2"],
+    ["--tol-params", "0.1"], ["--tol-macs", "0.1"], ["--tol-size", "0.1"],
+])
+def test_audit_takes_no_options(flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", *flags])
+    assert exc.value.code == 1
 
 
 def test_audit_output_deterministic(capsys):
@@ -91,6 +112,14 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def test_init_random_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "neg.tssd"
+    assert main(["init-random", "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "tinyssd init-random: seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_init_random_writes_valid_model(model_path):

@@ -79,9 +79,9 @@ def test_constant_image_size_invariance():
 
 
 def test_resize_interpolates_midpoints():
-    img = np.array([[0.0, 10.0]])  # 1x2
+    img = np.array([[[0.0], [10.0]]])  # 1x2, one channel
     out = bilinear_resize(img, 1, 4)
-    np.testing.assert_allclose(out[0], [0.0, 2.5, 7.5, 10.0], atol=1e-12)
+    np.testing.assert_allclose(out[0, :, 0], [0.0, 2.5, 7.5, 10.0], atol=1e-12)
 
 
 def test_preprocess_rejects_bad_shape():
