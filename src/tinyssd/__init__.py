@@ -42,7 +42,6 @@ from .priors import (
     Detection,
     PriorConfig,
     PriorSet,
-    ScalePriors,
     decode_boxes,
     detect,
     format_detection_line,

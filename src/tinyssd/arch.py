@@ -333,11 +333,13 @@ def _is_int(value) -> bool:
 
 
 # Whether a dump value fits a field of each checked annotation: 2.0 and true
-# are no int. Strings are checked by the constructors or by validate.
+# are no int, and a name is a JSON string.
 _JSON_FITS = {
     "int": _is_int,
     "tuple[int, int]": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
     "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "tuple[str, ...]": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
 }
 
 
@@ -389,7 +391,7 @@ def spec_from_json(text: str) -> ArchSpec:
             if geometry_type is None:
                 raise SpecError(f"unknown layer kind {entry['kind']!r}")
             g = geometry_type(**_json_values(geometry_type, entry))
-            layers.append(LayerSpec(entry["name"], g, tuple(entry["inputs"])))
+            layers.append(LayerSpec(geometry=g, **_json_values(LayerSpec, entry, skip=("geometry",))))
         heads = tuple(HeadSpec(**_json_values(HeadSpec, h)) for h in doc["heads"])
         spec = ArchSpec(layers=tuple(layers), heads=heads,
                         **_json_values(ArchSpec, doc, skip=("layers", "heads")))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import accountant, image, modelio, priors, voceval
 from .arch import describe_text, param_manifest, spec_to_json, tiny_ssd_spec
-from .errors import ConfigError, TinySSDError
+from .errors import ConfigError, ShapeError, TinySSDError
 from .network import forward
 from .tensor import TNSR_MAGIC, read_tnsr
 
@@ -108,6 +108,8 @@ def _cmd_detect(args) -> int:
     spec = tiny_ssd_spec()
     store = modelio.load_weights(args.model, manifest=param_manifest(spec))
     tensor, pixels = _load_input_tensor(args.image)
+    if tensor.n != 1:
+        raise ShapeError(f"detect takes one image, got a TNSR batch of {tensor.n}")
     if args.out == "annotated-ppm" and pixels is None:
         raise TinySSDError("annotated-ppm output needs a PPM input image")
     start = time.perf_counter()

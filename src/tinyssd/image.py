@@ -3,6 +3,7 @@ and detection-box rendering."""
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,27 +16,9 @@ from .tensor import Tensor
 BGR_MEANS = (104.0, 117.0, 123.0)
 
 
-def _read_ppm_tokens(raw: bytes, path):
-    """Yield (token, offset) for the three header fields after the magic,
-    skipping whitespace and # comments."""
-    pos = 2
-    found = 0
-    while found < 3:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        if pos == start:
-            raise FormatError(f"{path}: truncated header at byte {start}")
-        yield raw[start:pos], start
-        found += 1
-    # exactly one whitespace byte separates the header from the pixel data
-    yield None, pos + 1
+# Whitespace and # comments, then one header field; the field is empty where
+# the header is cut short.
+_PPM_FIELD = re.compile(rb"(?:\s+|#[^\n]*)*(\S*)")
 
 
 def read_ppm(path) -> np.ndarray:
@@ -45,20 +28,23 @@ def read_ppm(path) -> np.ndarray:
     if raw[:2] != b"P6":
         raise FormatError(f"{path}: not a P6 PPM (magic {raw[:2]!r} at byte 0)")
     fields = []
-    for token, offset in _read_ppm_tokens(raw, path):
-        if token is None:
-            data_start = offset
-            break
+    pos = 2
+    for _ in range(3):
+        match = _PPM_FIELD.match(raw, pos)
+        token, start, pos = match[1], match.start(1), match.end()
+        if not token:
+            raise FormatError(f"{path}: truncated header at byte {start}")
         try:
             fields.append(int(token))
         except ValueError:
-            raise FormatError(f"{path}: non-numeric header field {token!r} at byte {offset}") from None
+            raise FormatError(f"{path}: non-numeric header field {token!r} at byte {start}") from None
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise FormatError(f"{path}: non-positive image size {width}x{height}")
     if maxval != 255:
         raise FormatError(f"{path}: only 8-bit PPM supported, maxval {maxval}")
     need = width * height * 3
+    data_start = pos + 1  # exactly one whitespace byte separates the header from the pixel data
     data = raw[data_start:]
     if len(data) < need:
         raise FormatError(

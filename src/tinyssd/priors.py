@@ -17,45 +17,30 @@ from .ops import softmax_rows
 # (min size) and k + 1 (max size).
 DEFAULT_BOX_SIZES = (30.0, 60.0, 111.0, 162.0, 213.0, 264.0, 315.0)
 DEFAULT_VARIANCES = (0.1, 0.2)
-
-
-@dataclass(frozen=True)
-class ScalePriors:
-    """Prior layout of one detection scale.
-
-    priors_per_cell must equal 2 + 2*len(aspect_ratios): one min-size square,
-    one sqrt(min*max) square, and a w/h = a plus h/w = a pair per ratio.
-    """
-
-    feature_size: int
-    priors_per_cell: int
-    min_size: float
-    max_size: float
-    aspect_ratios: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.feature_size < 1:
-            raise ConfigError(f"feature size must be >= 1, got {self.feature_size}")
-        if not 0 < self.min_size < self.max_size:
-            raise ConfigError(f"need 0 < min_size < max_size, got {self.min_size}, {self.max_size}")
-        want = 2 + 2 * len(self.aspect_ratios)
-        if self.priors_per_cell != want:
-            raise ConfigError(
-                f"{self.priors_per_cell} priors per cell inconsistent with "
-                f"aspect ratios {self.aspect_ratios} (implies {want})"
-            )
+# Aspect ratios by priors per cell: a cell holds one min-size square, one
+# sqrt(min*max) square, and a w/h = a plus h/w = a pair per ratio.
+ASPECT_RATIOS = {4: (2.0,), 6: (2.0, 3.0)}
 
 
 @dataclass(frozen=True)
 class PriorConfig:
-    scales: tuple[ScalePriors, ...]
+    """Prior layout: (feature-map side, priors per cell) per scale, large
+    maps first; scale k takes its sizes from the DEFAULT_BOX_SIZES ladder."""
+
+    scales: tuple[tuple[int, int], ...]
     input_size: int
 
     def __post_init__(self):
-        for s in self.scales:
-            if s.max_size > self.input_size * 1.05 + 1e-9:
-                # SSD convention allows the last max_size to slightly exceed the input
-                raise ConfigError(f"max_size {s.max_size} too large for input {self.input_size}")
+        for _, per_cell in self.scales:
+            if per_cell not in ASPECT_RATIOS:
+                raise ConfigError(f"{per_cell} priors per cell; only 4 or 6 are laid out")
+        if len(self.scales) >= len(DEFAULT_BOX_SIZES):
+            raise ConfigError(f"default sizes cover {len(DEFAULT_BOX_SIZES) - 1} scales, "
+                              f"got {len(self.scales)}")
+        max_size = DEFAULT_BOX_SIZES[len(self.scales)]
+        if self.scales and max_size > self.input_size * 1.05 + 1e-9:
+            # SSD convention allows the last max_size to slightly exceed the input
+            raise ConfigError(f"max_size {max_size} too large for input {self.input_size}")
 
 
 @dataclass(frozen=True)
@@ -80,27 +65,21 @@ class Detection:
 
 
 def tiny_ssd_prior_config(spec: ArchSpec) -> PriorConfig:
-    """Prior layout matching a spec's head scales, with the default box sizes."""
-    if len(spec.heads) != len(DEFAULT_BOX_SIZES) - 1:
-        raise ConfigError(f"default sizes cover 6 scales, spec has {len(spec.heads)}")
+    """Prior layout matching a spec's head scales."""
     shapes = dict(intermediate_shapes(spec))
-    scales = []
-    for head, mn, mx in zip(spec.heads, DEFAULT_BOX_SIZES, DEFAULT_BOX_SIZES[1:]):
-        _, h, _ = shapes[head.source]
-        ratios = (2.0,) if head.priors_per_cell == 4 else (2.0, 3.0)
-        scales.append(ScalePriors(h, head.priors_per_cell, mn, mx, ratios))
-    return PriorConfig(scales=tuple(scales), input_size=spec.input_size)
+    return PriorConfig(tuple((shapes[h.source][1], h.priors_per_cell) for h in spec.heads),
+                       spec.input_size)
 
 
 def generate_priors(cfg: PriorConfig) -> PriorSet:
     """Lay out default boxes cell by cell, prior index innermost within a cell."""
     rows = []
-    for scale in cfg.scales:
-        f = scale.feature_size
-        s_min = scale.min_size / cfg.input_size
-        s_geo = math.sqrt(scale.min_size * scale.max_size) / cfg.input_size
+    for (f, per_cell), min_size, max_size in zip(cfg.scales, DEFAULT_BOX_SIZES,
+                                                 DEFAULT_BOX_SIZES[1:]):
+        s_min = min_size / cfg.input_size
+        s_geo = math.sqrt(min_size * max_size) / cfg.input_size
         sizes = [(s_min, s_min), (s_geo, s_geo)]
-        for a in scale.aspect_ratios:
+        for a in ASPECT_RATIOS[per_cell]:
             r = math.sqrt(a)
             sizes.append((s_min * r, s_min / r))
             sizes.append((s_min / r, s_min * r))
@@ -237,9 +216,8 @@ def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,
         )
     finite = np.isfinite(loc).all(axis=1)
     probs = softmax_rows(conf)
-    decoded = np.zeros_like(loc, dtype=np.float64)
-    if finite.any():
-        decoded[finite] = decode_boxes(loc[finite], PriorSet(boxes=priors.boxes[finite]))
+    # a non-finite row decodes as its prior and is never a candidate
+    decoded = decode_boxes(np.where(finite[:, None], loc, 0), priors)
 
     # Candidates class-major, priors ascending within a class; class 0 is background.
     cls, prior = np.nonzero((probs[:, 1:] >= conf_threshold).T & finite)

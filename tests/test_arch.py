@@ -159,6 +159,9 @@ def test_json_round_trip(spec):
     ("doc", "input_size", 300.0),
     ("doc", "input_channels", True),
     ("doc", "class_count", 21.0),
+    ("pool1", "name", 7),
+    ("conv1", "inputs", "image"),
+    ("fire1", "inputs", [7]),
 ])
 def test_json_rejects_non_integer_counts(spec, section, key, value):
     doc = json.loads(spec_to_json(spec))

@@ -4,6 +4,7 @@ the tier-1 suite, rather than in a benchmark run."""
 from pathlib import Path
 
 from tinyssd import priors, voceval
+from tinyssd.arch import tiny_ssd_spec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -17,3 +18,6 @@ def test_benchmark_bound_names_exist(monkeypatch):
         pass
     assert callable(voceval.parse_detection_lines)
     assert "boxes" in priors.PriorSet.__dataclass_fields__
+    # the call shape of perfbench/tests/test_reference.py
+    prior_set = priors.generate_priors(priors.tiny_ssd_prior_config(tiny_ssd_spec()))
+    assert prior_set.boxes.shape == (8030, 4)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tinyssd import accountant
+from tinyssd import accountant, cli
 from tinyssd.arch import param_manifest, spec_from_json, tiny_ssd_spec
 from tinyssd.cli import main
 from tinyssd.image import write_ppm
@@ -431,13 +431,16 @@ def test_eval_non_utf8_detections_is_format_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_detect_batch_above_one_is_shape_error(model_path, tmp_path, capsys):
+def test_detect_batch_above_one_is_shape_error(model_path, tmp_path, capsys, monkeypatch):
     path = tmp_path / "pair.tnsr"
     write_tnsr(Tensor(np.zeros((2, 3, 300, 300), dtype=np.float32)), path)
+    forwarded = []
+    monkeypatch.setattr(cli, "forward", lambda *args: forwarded.append(args))
     assert main(["detect", "--model", str(model_path), "--image", str(path)]) == 2
+    assert forwarded == []
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "detect expects a single-image HeadOutput, got loc (2, 8030, 4)" in captured.err
+    assert "detect takes one image, got a TNSR batch of 2" in captured.err
     assert "Traceback" not in captured.err
 
 

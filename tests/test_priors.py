@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -12,7 +14,6 @@ from tinyssd.priors import (
     Detection,
     PriorConfig,
     PriorSet,
-    ScalePriors,
     decode_boxes,
     detect,
     format_detection_line,
@@ -39,21 +40,17 @@ def test_prior_count_is_8030(prior_set):
 
 def test_prior_layout_from_spec(spec):
     cfg = tiny_ssd_prior_config(spec)
-    assert [s.feature_size for s in cfg.scales] == [37, 18, 9, 4, 2, 1]
-    assert [s.priors_per_cell for s in cfg.scales] == [4, 6, 6, 6, 6, 4]
+    assert cfg.scales == ((37, 4), (18, 6), (9, 6), (4, 6), (2, 6), (1, 4))
+    assert cfg.input_size == 300
 
 
-def test_prior_count_independent_of_box_sizes(spec):
-    cfg = tiny_ssd_prior_config(spec)
-    resized = PriorConfig(
-        scales=tuple(
-            ScalePriors(s.feature_size, s.priors_per_cell, s.min_size / 2, s.max_size / 2,
-                        s.aspect_ratios)
-            for s in cfg.scales
-        ),
-        input_size=cfg.input_size,
-    )
-    assert len(generate_priors(resized)) == 8030
+@pytest.mark.parametrize("input_size, digest", [
+    (300, "ad4d78cfbd571596214f5d47346a14f6e12656aacab5a9e558809aac5daaaeb3"),
+    (600, "e94f9d55254e2196730d26a9b651746b05d353274f670a1acc7309961fd0dc73"),
+])
+def test_prior_boxes_pinned(spec, input_size, digest):
+    cfg = tiny_ssd_prior_config(dataclasses.replace(spec, input_size=input_size))
+    assert hashlib.sha256(generate_priors(cfg).boxes.tobytes()).hexdigest() == digest
 
 
 def test_last_scale_first_prior_is_center_square(prior_set):
@@ -76,9 +73,7 @@ def test_priors_clipped_and_well_formed(prior_set):
 
 
 def test_prior_cell_centers():
-    cfg = PriorConfig(
-        scales=(ScalePriors(2, 4, 30, 60, (2.0,)),), input_size=300
-    )
+    cfg = PriorConfig(scales=((2, 4),), input_size=300)
     boxes = generate_priors(cfg).boxes
     first = boxes[0]
     cx = (first[0] + first[2]) / 2
@@ -92,10 +87,13 @@ def test_prior_cell_centers():
 
 
 def test_scale_priors_ratio_consistency():
-    with pytest.raises(ConfigError):
-        ScalePriors(4, 5, 30, 60, (2.0,))
-    with pytest.raises(ConfigError):
-        ScalePriors(4, 4, 60, 30, (2.0,))
+    with pytest.raises(ConfigError, match="5 priors per cell"):
+        PriorConfig(scales=((4, 5),), input_size=300)
+    with pytest.raises(ConfigError, match="cover 6 scales, got 7"):
+        PriorConfig(scales=((1, 4),) * 7, input_size=300)
+    with pytest.raises(ConfigError, match="max_size 315.0 too large for input 299"):
+        PriorConfig(scales=((1, 4),) * 6, input_size=299)
+    assert len(generate_priors(PriorConfig(scales=((1, 4),) * 6, input_size=300))) == 24
 
 
 def test_decode_zero_offsets_returns_priors(prior_set):
