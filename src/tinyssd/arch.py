@@ -88,19 +88,30 @@ class ArchSpec:
         raise SpecError(f"no layer named {name!r}")
 
 
-# Fire stack filter counts (squeeze, expand 1x1, expand 3x3), in layer order.
-_FIRE_CONFIGS = {
-    "fire1": (15, 49, 53),
-    "fire2": (15, 54, 52),
-    "fire3": (29, 92, 94),
-    "fire4": (29, 90, 83),
-    "fire5": (44, 166, 161),
-    "fire6": (45, 155, 146),
-    "fire7": (49, 163, 171),
-    "fire8": (25, 29, 54),
-    "fire9": (37, 45, 56),
-    "fire10": (38, 41, 44),
-}
+# The body in layer order; each layer reads the one above it. Fire rows
+# give the filter counts (squeeze, expand 1x1, expand 3x3).
+_BODY = (
+    ("conv1", ConvSpec(57, stride=2, pad=0)),
+    ("pool1", PoolSpec()),
+    ("fire1", FireConfig(15, 49, 53)),
+    ("fire2", FireConfig(15, 54, 52)),
+    ("pool3", PoolSpec()),
+    ("fire3", FireConfig(29, 92, 94)),
+    ("fire4", FireConfig(29, 90, 83)),
+    ("pool5", PoolSpec()),
+    ("fire5", FireConfig(44, 166, 161)),
+    ("fire6", FireConfig(45, 155, 146)),
+    ("fire7", FireConfig(49, 163, 171)),
+    ("fire8", FireConfig(25, 29, 54)),
+    ("pool9", PoolSpec()),
+    ("fire9", FireConfig(37, 45, 56)),
+    ("pool10", PoolSpec()),
+    ("fire10", FireConfig(38, 41, 44)),
+    ("conv12_1", ConvSpec(51, stride=2)),
+    ("conv12_2", ConvSpec(46)),
+    ("conv13_1", ConvSpec(55)),
+    ("conv13_2", ConvSpec(85, stride=2)),
+)
 
 # Detection scales: (source layer, priors per cell), large maps first.
 _HEAD_SOURCES = (
@@ -117,37 +128,8 @@ def tiny_ssd_spec() -> ArchSpec:
     """The canonical 300x300 Tiny SSD graph: a 57-filter stem, ten fire
     modules with interleaved ceil-mode pools, four auxiliary convolutions,
     and twelve multibox predictor heads over six scales."""
-    layers = []
-    prev = INPUT_NAME
-
-    def add(name, geometry):
-        nonlocal prev
-        layers.append(LayerSpec(name, geometry, (prev,)))
-        prev = name
-
-    def fire(name):
-        add(name, FireConfig(*_FIRE_CONFIGS[name]))
-
-    add("conv1", ConvSpec(57, stride=2, pad=0))
-    add("pool1", PoolSpec())
-    fire("fire1")
-    fire("fire2")
-    add("pool3", PoolSpec())
-    fire("fire3")
-    fire("fire4")
-    add("pool5", PoolSpec())
-    fire("fire5")
-    fire("fire6")
-    fire("fire7")
-    fire("fire8")
-    add("pool9", PoolSpec())
-    fire("fire9")
-    add("pool10", PoolSpec())
-    fire("fire10")
-    add("conv12_1", ConvSpec(51, stride=2))
-    add("conv12_2", ConvSpec(46))
-    add("conv13_1", ConvSpec(55))
-    add("conv13_2", ConvSpec(85, stride=2))
+    upstream = [INPUT_NAME] + [name for name, _ in _BODY]
+    layers = [LayerSpec(name, g, (prev,)) for prev, (name, g) in zip(upstream, _BODY)]
 
     heads = []
     for source, priors in _HEAD_SOURCES:

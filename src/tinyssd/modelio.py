@@ -24,6 +24,7 @@ FP16_MAX = 65504.0
 # dtype name -> (on-disk tag, little-endian payload dtype)
 _DTYPES = {"f16": (16, np.dtype("<f2")), "f32": (32, np.dtype("<f4"))}
 _MAX_RANK = 32  # numpy's array rank limit before 2.0
+_FILE_HEAD = struct.Struct("<4sII")  # magic, version, blob count
 
 
 class WeightStore:
@@ -91,95 +92,109 @@ def quantize_fp16(store: WeightStore) -> WeightStore:
     return out
 
 
-def _record_size(name: str, shape: tuple[int, ...], dtype: str) -> int:
-    itemsize = _DTYPES[dtype][1].itemsize
-    return 2 + len(name.encode()) + 1 + 1 + 4 * len(shape) + itemsize * math.prod(shape)
+def _blob_head(name: str, tag: int, shape) -> bytes:
+    """A record's bytes before its payload: u16 name length, UTF-8 name, u8
+    dtype tag, u8 rank, u32 dims. Refuses what load_weights would reject."""
+    encoded = name.encode()
+    if len(encoded) > 0xFFFF:
+        raise FormatError(f"blob name too long ({len(encoded)} bytes)")
+    if len(shape) > _MAX_RANK:
+        raise FormatError(f"rank {len(shape)} above {_MAX_RANK} for blob {name!r}")
+    try:
+        return struct.pack(f"<H{len(encoded)}sBB{len(shape)}I",
+                           len(encoded), encoded, tag, len(shape), *shape)
+    except struct.error:
+        raise FormatError(f"shape {tuple(shape)} of blob {name!r} does not fit u32 dims") from None
 
 
 def model_file_size(manifest, dtype: str) -> int:
     """Exact on-disk byte size of a model with the given blob manifest."""
     if dtype not in _DTYPES:
         raise FormatError(f"unknown dtype {dtype!r}, expected 'f16' or 'f32'")
-    return 12 + sum(_record_size(name, tuple(shape), dtype) for name, shape in manifest)
+    tag, payload_dtype = _DTYPES[dtype]
+    return _FILE_HEAD.size + sum(len(_blob_head(name, tag, shape))
+                                 + payload_dtype.itemsize * math.prod(shape)
+                                 for name, shape in manifest)
 
 
 def save_weights(store: WeightStore, path, dtype: str = "f32") -> None:
-    """Serialize the store; dtype 'f16' stores quantized half-precision payloads."""
+    """Serialize the store; dtype 'f16' stores quantized half-precision
+    payloads. A store that load_weights would reject raises FormatError
+    before the file is opened."""
     if dtype not in _DTYPES:
         raise FormatError(f"unknown dtype {dtype!r}, expected 'f16' or 'f32'")
     tag, payload_dtype = _DTYPES[dtype]
     if dtype == "f16":
         store = quantize_fp16(store)
+    records = []
+    for name, arr in store.items():
+        head = _blob_head(name, tag, arr.shape)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"non-finite value in blob {name!r}")
+        records.append((head, arr.astype(payload_dtype)))
     with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<II", MODEL_VERSION, len(store)))
-        for name, arr in store.items():
-            encoded = name.encode()
-            if len(encoded) > 0xFFFF:
-                raise FormatError(f"blob name too long ({len(encoded)} bytes)")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<BB", tag, arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.astype(payload_dtype).tobytes())
+        f.write(_FILE_HEAD.pack(MODEL_MAGIC, MODEL_VERSION, len(records)))
+        for head, payload in records:
+            f.write(head)
+            f.write(payload.tobytes())
 
 
 def load_weights(path, manifest=None) -> WeightStore:
     """Read a TSSD file back into a float32 store.
 
     When a manifest is given, blob names, shapes, and order must match it
-    exactly. A NaN or infinite value is rejected with its blob and byte
-    offset named.
+    exactly. A NaN or infinite value, or a second blob of the same name, is
+    rejected with its blob and byte offset named.
     """
     with open(path, "rb") as f:
         raw = f.read()
+    offset = 0
 
-    def fail(offset, why):
-        raise FormatError(f"{path}: {why} at byte {offset}")
+    def fail(at, why):
+        raise FormatError(f"{path}: {why} at byte {at}")
+
+    def take(size, what):
+        """Offset of the next size bytes, which the cursor then steps past."""
+        nonlocal offset
+        if offset + size > len(raw):
+            fail(offset, f"truncated {what}")
+        offset += size
+        return offset - size
 
     if raw[:4] != MODEL_MAGIC:
         fail(0, f"bad magic {raw[:4]!r}, expected {MODEL_MAGIC!r}")
-    if len(raw) < 12:
-        fail(len(raw), "truncated header")
-    version, blob_count = struct.unpack_from("<II", raw, 4)
+    _, version, blob_count = _FILE_HEAD.unpack_from(raw, take(_FILE_HEAD.size, "header"))
     if version != MODEL_VERSION:
         fail(4, f"unsupported format version {version}")
-    offset = 12
     store = WeightStore()
     for _ in range(blob_count):
-        if offset + 2 > len(raw):
-            fail(offset, "truncated blob name length")
-        (name_len,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        if offset + name_len > len(raw):
-            fail(offset, "truncated blob name")
-        name = raw[offset:offset + name_len].decode("utf-8", errors="replace")
-        offset += name_len
-        if offset + 2 > len(raw):
-            fail(offset, f"truncated dtype/rank for blob {name!r}")
-        tag, rank = struct.unpack_from("<BB", raw, offset)
-        offset += 2
+        record = take(2, "blob name length")
+        (name_len,) = struct.unpack_from("<H", raw, record)
+        at = take(name_len, "blob name")
+        name = raw[at:at + name_len].decode("utf-8", errors="replace")
+        if name in store:
+            fail(record, f"duplicate blob name {name!r}")
+        at = take(2, f"dtype/rank for blob {name!r}")
+        tag, rank = struct.unpack_from("<BB", raw, at)
         payload_dtype = next((d for t, d in _DTYPES.values() if t == tag), None)
         if payload_dtype is None:
-            fail(offset - 2, f"unknown dtype tag {tag} for blob {name!r}")
+            fail(at, f"unknown dtype tag {tag} for blob {name!r}")
         if rank > _MAX_RANK:
-            fail(offset - 1, f"rank {rank} above {_MAX_RANK} for blob {name!r}")
-        if offset + 4 * rank > len(raw):
-            fail(offset, f"truncated shape for blob {name!r}")
-        shape = struct.unpack_from(f"<{rank}I", raw, offset)
-        offset += 4 * rank
+            fail(at + 1, f"rank {rank} above {_MAX_RANK} for blob {name!r}")
+        dims_at = take(4 * rank, f"shape for blob {name!r}")
+        shape = struct.unpack_from(f"<{rank}I", raw, dims_at)
         count = math.prod(shape)  # exact: a numpy product wraps around on huge dims
-        nbytes = count * payload_dtype.itemsize
-        if offset + nbytes > len(raw):
-            fail(offset, f"truncated payload for blob {name!r}")
-        payload = np.frombuffer(raw, dtype=payload_dtype, count=count, offset=offset)
-        values = payload.astype(np.float32)
+        at = take(count * payload_dtype.itemsize, f"payload for blob {name!r}")
+        values = np.frombuffer(raw, dtype=payload_dtype, count=count, offset=at).astype(np.float32)
         finite = np.isfinite(values)
         if not finite.all():
             first = int(np.argmin(finite))
-            fail(offset + first * payload_dtype.itemsize, f"non-finite value in blob {name!r}")
-        offset += nbytes
-        store.add(name, values.reshape(shape))
+            fail(at + first * payload_dtype.itemsize, f"non-finite value in blob {name!r}")
+        try:
+            values = values.reshape(shape)
+        except ValueError:  # an empty blob whose other dims multiply past numpy's limit
+            fail(dims_at, f"shape {shape} too large for blob {name!r}")
+        store.add(name, values)
     if offset != len(raw):
         fail(offset, f"{len(raw) - offset} trailing byte(s) after last blob")
     if manifest is not None:

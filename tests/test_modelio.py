@@ -1,3 +1,5 @@
+import hashlib
+import re
 import struct
 
 import numpy as np
@@ -86,6 +88,54 @@ def test_full_model_f16_size_near_claim(tmp_path, spec, store):
     assert abs(size_mb - 2.3) / 2.3 <= 0.06
 
 
+@pytest.mark.parametrize("dtype, size, sha256", [
+    ("f16", 2_378_674, "90bc0e143763420a7fee6e015bec47aa9d5c9b5bf7b10e3f33ffa9bd2a02e03e"),
+    ("f32", 4_754_516, "8885bbcfb995cdacb714e6bace76b3745d428ef7716a69db09b697b7d2f1062e"),
+])
+def test_full_model_bytes_pinned(tmp_path, spec, dtype, size, sha256):
+    path = tmp_path / "seed7.tssd"
+    save_weights(init_random(spec, 7), path, dtype)
+    raw = path.read_bytes()
+    assert len(raw) == size == model_file_size(param_manifest(spec), dtype)
+    assert hashlib.sha256(raw).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f16"])
+@pytest.mark.parametrize("name, values, why", [
+    ("deep", np.zeros((1,) * 33), "rank 33 above 32 for blob 'deep'"),
+    ("n" * 70_000, np.zeros(1), r"blob name too long \(70000 bytes\)"),
+    ("nan", np.array([1.0, np.nan]), "non-finite value in blob 'nan'"),
+    ("wide", np.zeros((2**32, 0)), "does not fit u32 dims"),
+], ids=["rank33", "long-name", "nan", "dim-past-u32"])
+def test_save_refuses_what_load_rejects_and_leaves_no_file(tmp_path, dtype, name, values, why):
+    store = WeightStore([("ok", np.ones(2)), (name, values)])
+    path = tmp_path / "m.tssd"
+    with pytest.raises(FormatError, match=why):
+        save_weights(store, path, dtype)
+    assert not path.exists()
+
+
+def test_save_f32_refuses_inf_and_f16_clamps_it(tmp_path):
+    store = WeightStore([("x", np.array([np.inf, -np.inf, 1.0]))])
+    with pytest.raises(FormatError, match="non-finite value in blob 'x'"):
+        save_weights(store, tmp_path / "m32.tssd", "f32")
+    assert not (tmp_path / "m32.tssd").exists()
+    with pytest.warns(UserWarning, match="2 value"):
+        save_weights(store, tmp_path / "m16.tssd", "f16")
+    assert load_weights(tmp_path / "m16.tssd")["x"].tolist() == [65504.0, -65504.0, 1.0]
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f16"])
+@pytest.mark.parametrize("manifest, why", [
+    ([("a/w", (1,) * 33)], "rank 33 above 32"),
+    ([("n" * 70_000, (1,))], "blob name too long"),
+    ([("a/w", (2**32,))], "does not fit u32 dims"),
+], ids=["rank33", "long-name", "dim-past-u32"])
+def test_model_file_size_refuses_what_save_refuses(manifest, why, dtype):
+    with pytest.raises(FormatError, match=why):
+        model_file_size(manifest, dtype)
+
+
 def test_load_bad_magic(tmp_path):
     path = tmp_path / "bad"
     path.write_bytes(b"WHAT" + b"\x00" * 20)
@@ -106,6 +156,39 @@ def _huge_shape_model(path):
     """One f16 blob 'big' whose four u32 dims multiply past 2**64."""
     path.write_bytes(b"TSSD" + struct.pack("<II", 1, 1) + struct.pack("<H", 3) + b"big"
                      + struct.pack("<BB4I", 16, 4, *(2**32 - 1,) * 4) + b"\x00" * 8)
+
+
+@pytest.mark.parametrize("cut, why", [
+    (6, "truncated header at byte 0"),
+    (13, "truncated blob name length at byte 12"),
+    (14, "truncated blob name at byte 14"),
+    (16, "truncated dtype/rank for blob 'x' at byte 15"),
+    (20, "truncated shape for blob 'x' at byte 17"),
+    (24, "truncated payload for blob 'x' at byte 21"),
+])
+def test_load_truncation_names_the_field_and_its_offset(tmp_path, cut, why):
+    path = tmp_path / "m.tssd"
+    save_weights(WeightStore([("x", np.ones(1))]), path, dtype="f32")
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: {why}$"):
+        load_weights(path)
+
+
+def test_load_duplicate_blob_name_is_format_error(tmp_path):
+    record = struct.pack("<H", 1) + b"x" + struct.pack("<BBIf", 32, 1, 1, 1.0)
+    path = tmp_path / "dup.tssd"
+    path.write_bytes(b"TSSD" + struct.pack("<II", 1, 2) + record + record)
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: duplicate blob name 'x' at byte 25$"):
+        load_weights(path)
+
+
+def test_load_empty_blob_too_large_for_numpy_is_format_error(tmp_path):
+    path = tmp_path / "wide.tssd"
+    path.write_bytes(b"TSSD" + struct.pack("<II", 1, 1) + struct.pack("<H", 3) + b"big"
+                     + struct.pack("<BB4I", 16, 4, 0, *(2**32 - 1,) * 3))
+    with pytest.raises(FormatError, match=r"shape \(0, 4294967295, 4294967295, 4294967295\) "
+                                          "too large for blob 'big' at byte 19"):
+        load_weights(path)
 
 
 def test_load_huge_shape_is_truncated_payload(tmp_path):
