@@ -34,10 +34,6 @@ class FireConfig:
         if min(self.squeeze, self.expand1x1, self.expand3x3) < 1:
             raise SpecError(f"fire filter counts must be >= 1, got {self}")
 
-    @property
-    def out_channels(self) -> int:
-        return self.expand1x1 + self.expand3x3
-
 
 _GEOMETRY_KINDS = {"conv": ConvSpec, "pool": PoolSpec, "fire": FireConfig}
 

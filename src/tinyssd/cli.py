@@ -21,7 +21,7 @@ from .tensor import TNSR_MAGIC, read_tnsr
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
-        super().__init__(allow_abbrev=False, **kwargs)  # no "--iou" for "--iou-match"
+        super().__init__(allow_abbrev=False, **kwargs)  # no "--top" for "--top-k"
 
     def parse_known_args(self, args=None, namespace=None):
         # A subcommand reports its own leftovers, under its own usage line;
@@ -57,7 +57,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="VOC-protocol evaluation of emitted detections")
     p.add_argument("--detections", required=True, help="file of emission-format lines")
     p.add_argument("--annotations", required=True, help="directory of VOC-style .xml files")
-    p.add_argument("--iou-match", type=float, default=0.5)
     p.add_argument("--pr-csv", default=None, help="also write PR curve points as CSV")
 
     p = sub.add_parser("quantize", help="rewrite a model with fp16 payloads")
@@ -128,10 +127,9 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    voceval.check_iou_match(args.iou_match)
     lines = voceval.read_detection_file(args.detections)
     truths = voceval.load_annotation_dir(args.annotations)
-    result = voceval.evaluate(lines, truths, iou_match=args.iou_match)
+    result = voceval.evaluate(lines, truths)
     print(f"scored {result.detections} detection line(s) against {len(truths)} truth box(es): "
           f"parse {result.parse_s * 1e3:.1f} ms, match {result.match_s * 1e3:.1f} ms",
           file=sys.stderr)

@@ -95,7 +95,10 @@ def quantize_fp16(store: WeightStore) -> WeightStore:
 def _blob_head(name: str, tag: int, shape) -> bytes:
     """A record's bytes before its payload: u16 name length, UTF-8 name, u8
     dtype tag, u8 rank, u32 dims. Refuses what load_weights would reject."""
-    encoded = name.encode()
+    try:
+        encoded = name.encode()
+    except UnicodeEncodeError:
+        raise FormatError(f"blob name {name!r} is not UTF-8") from None
     if len(encoded) > 0xFFFF:
         raise FormatError(f"blob name too long ({len(encoded)} bytes)")
     if len(shape) > _MAX_RANK:
@@ -171,7 +174,10 @@ def load_weights(path, manifest=None) -> WeightStore:
         record = take(2, "blob name length")
         (name_len,) = struct.unpack_from("<H", raw, record)
         at = take(name_len, "blob name")
-        name = raw[at:at + name_len].decode("utf-8", errors="replace")
+        try:
+            name = raw[at:at + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            fail(at, "blob name is not UTF-8")
         if name in store:
             fail(record, f"duplicate blob name {name!r}")
         at = take(2, f"dtype/rank for blob {name!r}")

@@ -214,6 +214,9 @@ def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,
         raise ShapeError(
             f"head rows ({loc.shape[0]} loc / {conf.shape[0]} conf) != {len(priors)} priors"
         )
+    if conf.shape[1] > len(VOC_CLASSES) + 1:
+        raise ShapeError(f"conf has {conf.shape[1]} columns, more than background "
+                         f"plus {len(VOC_CLASSES)} VOC classes")
     finite = np.isfinite(loc).all(axis=1)
     probs = softmax_rows(conf)
     # a non-finite row decodes as its prior and is never a candidate

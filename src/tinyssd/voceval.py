@@ -14,9 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from .arch import VOC_CLASSES
-from .errors import ConfigError, FormatError
+from .errors import FormatError
 from .priors import iou
 
+# The VOC2007 protocol (Everingham et al., IJCV 2010), which the paper's
+# mAP follows: a match needs IoU >= 0.5, and AP is read at 11 recalls.
+IOU_MATCH = 0.5
 RECALL_POINTS = tuple(i / 10 for i in range(11))
 
 
@@ -231,8 +234,7 @@ def _interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
     return ap / len(RECALL_POINTS)
 
 
-def _eval_class(image, scores, boxes, truth_image, truth_boxes, difficult,
-                iou_match: float, n_images: int):
+def _eval_class(image, scores, boxes, truth_image, truth_boxes, difficult, n_images: int):
     """AP and PR curve of one class. Detections and truths come as columns in
     input order: integer image codes below n_images, scores, (n, 4) boxes."""
     npos = int(np.count_nonzero(~difficult))
@@ -247,7 +249,7 @@ def _eval_class(image, scores, boxes, truth_image, truth_boxes, difficult,
     offsets = np.arange(len(det_of)) - np.repeat(np.cumsum(counts) - counts, counts)
     gt_of = by_image[first[image][det_of] + offsets]
     overlaps = iou(boxes[det_of], truth_boxes[gt_of])
-    hit = overlaps >= iou_match
+    hit = overlaps >= IOU_MATCH
     det_of, gt_of, overlaps = det_of[hit], gt_of[hit], overlaps[hit]
 
     # A detection with no qualifying overlap is a false positive. Only the
@@ -282,15 +284,8 @@ def _eval_class(image, scores, boxes, truth_image, truth_boxes, difficult,
     return _interpolated_ap(recalls, precisions), np.column_stack((recalls, precisions))
 
 
-def check_iou_match(iou_match: float) -> None:
-    """Raise ConfigError unless iou_match is in [0, 1]."""
-    if not 0 <= iou_match <= 1:
-        raise ConfigError(f"iou_match must be in [0, 1], got {iou_match}")
-
-
-def evaluate(detections, truths: list[GroundTruthBox], iou_match: float = 0.5) -> EvalResult:
+def evaluate(detections, truths: list[GroundTruthBox]) -> EvalResult:
     """Score emission-format detection lines against ground truth."""
-    check_iou_match(iou_match)
     start = time.perf_counter()
     image_codes, image, classes, values = _parse_columns(detections)
     parsed = time.perf_counter()
@@ -314,7 +309,7 @@ def evaluate(detections, truths: list[GroundTruthBox], iou_match: float = 0.5) -
         d = np.flatnonzero(classes == c)
         class_aps[name], pr_curves[name] = _eval_class(
             image[d], values[0, d], boxes[d], truth_image[t], truth_boxes[t],
-            difficult[t], iou_match, len(image_codes))
+            difficult[t], len(image_codes))
     mean_ap = float(np.mean(list(class_aps.values()))) if class_aps else 0.0
     return EvalResult(class_aps=class_aps, mean_ap=mean_ap, pr_curves=pr_curves,
                       detections=len(image), parse_s=parsed - start,

@@ -322,6 +322,51 @@ def map_reference(dets_by_class, gts_by_class, iou_match=0.5):
     return sum(aps) / len(aps) if aps else 0.0
 
 
+def devkit_ap_reference(dets, gts):
+    """Single-class 11-point AP under the VOC2007 devkit's matching rule
+    (Everingham et al., IJCV 2010; VOCevaldet.m), same inputs as ap_reference.
+
+    In score order, each detection takes the truth of highest IoU among all
+    truths of its image, difficult and already matched ones included (ties
+    go to the first). At IoU >= 0.5 it is ignored if that truth is
+    difficult, a TP if the truth is unmatched and an FP if it is matched;
+    below 0.5 it is an FP.
+    """
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
+    matched = set()
+    tp_flags = []  # one entry per counted detection: True TP, False FP
+    for i in order:
+        img, _, box = dets[i]
+        best_iou = -math.inf
+        best_j = None
+        for j, (gimg, gbox, _) in enumerate(gts):
+            if gimg == img:
+                ov = iou_reference(box, gbox)
+                if ov > best_iou:
+                    best_iou, best_j = ov, j
+        if best_j is None or best_iou < 0.5:
+            tp_flags.append(False)
+        elif gts[best_j][2]:
+            continue  # difficult: neither TP nor FP
+        elif best_j in matched:
+            tp_flags.append(False)
+        else:
+            matched.add(best_j)
+            tp_flags.append(True)
+
+    npos = sum(1 for g in gts if not g[2])
+    points = []  # (recall, precision) after each counted detection
+    tp = 0
+    for k, is_tp in enumerate(tp_flags, start=1):
+        tp += is_tp
+        points.append((tp / npos, tp / k))
+    ap = 0.0
+    for tenth in range(11):
+        precisions = [p for r, p in points if r >= tenth / 10 - 1e-12]
+        ap += max(precisions, default=0.0) / 11
+    return ap
+
+
 def fp16_nearest(value):
     """Scalar IEEE binary16 round via the math module, for spot checks."""
     # rely on numpy only to reinterpret, not to round

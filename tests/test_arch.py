@@ -98,6 +98,42 @@ def test_forward_reference_rejected():
         validate(ArchSpec(layers=layers))
 
 
+# A valid two-class graph: a head on "a", a pool "p" and a conv "q" after it.
+_SMALL_LAYERS = (
+    LayerSpec("a", ConvSpec(4), ("image",)),
+    LayerSpec("p", PoolSpec(), ("a",)),
+    LayerSpec("q", ConvSpec(4), ("p",)),
+    LayerSpec("loc", ConvSpec(4, activation="none"), ("a",)),
+    LayerSpec("conf", ConvSpec(2, activation="none"), ("a",)),
+)
+_SMALL_SPEC = ArchSpec(layers=_SMALL_LAYERS, heads=(HeadSpec("a", "loc", "conf", 1),),
+                       class_count=2, input_size=8)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"class_count": 1}, "class_count must be >= 2, got 1"),
+    ({"input_size": 0}, "input size and channels must be positive"),
+    ({"input_channels": 0}, "input size and channels must be positive"),
+    ({"layers": (LayerSpec("image", ConvSpec(4), ("image",)),)},
+     "layer name 'image' is reserved for the network input"),
+    ({"layers": (LayerSpec("a", ConvSpec(4), ()),)}, r"a: expected exactly one input, got \(\)"),
+    ({"layers": (LayerSpec("a", ConvSpec(4), ("image", "image")),)},
+     "a: expected exactly one input, got"),
+    ({"heads": (HeadSpec("x", "loc", "conf", 1),)}, "head source layer 'x' is not declared"),
+    ({"heads": (HeadSpec("a", "x", "conf", 1),)}, "head loc layer 'x' is not declared"),
+    ({"heads": (HeadSpec("a", "loc", "x", 1),)}, "head conf layer 'x' is not declared"),
+    ({"heads": (HeadSpec("a", "loc", "conf", 0),)}, "head at a: priors_per_cell must be >= 1"),
+    ({"heads": (HeadSpec("a", "p", "conf", 1),)}, "head loc layer 'p' must be a conv layer"),
+    ({"heads": (HeadSpec("a", "loc", "q", 1),)}, "head conf layer 'q' does not read from 'a'"),
+], ids=["class-count", "input-size", "input-channels", "reserved-name", "no-input",
+        "two-inputs", "undeclared-source", "undeclared-loc", "undeclared-conf",
+        "no-priors", "head-not-conv", "head-reads-elsewhere"])
+def test_invalid_spec_is_spec_error(changes, message):
+    validate(_SMALL_SPEC)
+    with pytest.raises(SpecError, match=message):
+        validate(replace(_SMALL_SPEC, **changes))
+
+
 def test_json_rejects_unknown_kind(spec):
     doc = json.loads(spec_to_json(spec))
     doc["layers"][1]["kind"] = "norm"

@@ -305,28 +305,20 @@ def test_detect_bad_threshold_is_config_error(model_path, ppm_path, capsys, flag
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("value", ["nan", "-0.1", "1.5"])
-def test_eval_iou_match_outside_unit_interval_is_config_error(tmp_path, capsys, value):
-    ann_dir = tmp_path / "ann"
-    ann_dir.mkdir()
-    (ann_dir / "scene.xml").write_text(ANNOTATION)
-    det_file = tmp_path / "dets.txt"
-    det_file.write_text(GOOD_LINE)
-    args = ["eval", "--detections", str(det_file), "--annotations", str(ann_dir),
-            "--iou-match", value]
-    assert main(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"iou_match must be in [0, 1], got {float(value)}" in captured.err
-    assert "Traceback" not in captured.err
+def test_eval_iou_match_is_not_an_option(capsys):
+    """The VOC2007 protocol fixes the match at IoU >= 0.5."""
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--detections", "dets.txt", "--annotations", "ann", "--iou-match", "0.5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --iou-match 0.5" in capsys.readouterr().err
 
 
 def test_abbreviated_flag_is_usage_error(capsys):
-    """Flags match only in full: eval's --iou is not taken as --iou-match."""
+    """Flags match only in full: detect's --top is not taken as --top-k."""
     with pytest.raises(SystemExit) as exc:
-        main(["eval", "--detections", "dets.txt", "--annotations", "ann", "--iou", "0.3"])
+        main(["detect", "--model", "m.tssd", "--image", "scene.ppm", "--top", "5"])
     assert exc.value.code == 1
-    assert "unrecognized arguments: --iou 0.3" in capsys.readouterr().err
+    assert "unrecognized arguments: --top 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, message", [
@@ -334,9 +326,7 @@ def test_abbreviated_flag_is_usage_error(capsys):
      "conf_threshold must be finite, got nan"),
     (["detect", "--model", "{missing}", "--image", "{missing}", "--top-k", "-1"],
      "top_k must be >= 0, got -1"),
-    (["eval", "--detections", "{missing}", "--annotations", "{missing}", "--iou-match", "2"],
-     "iou_match must be in [0, 1], got 2.0"),
-], ids=["detect-conf", "detect-top-k", "eval-iou-match"])
+], ids=["detect-conf", "detect-top-k"])
 def test_bad_threshold_is_reported_before_any_input_is_read(tmp_path, capsys, args, message):
     missing = str(tmp_path / "missing")
     assert main([a.format(missing=missing) for a in args]) == 2

@@ -182,6 +182,26 @@ def test_load_duplicate_blob_name_is_format_error(tmp_path):
         load_weights(path)
 
 
+def test_save_and_size_refuse_a_name_utf8_cannot_encode(tmp_path):
+    path = tmp_path / "m.tssd"
+    with pytest.raises(FormatError, match=re.escape(r"blob name 'a\udc80' is not UTF-8")):
+        save_weights(WeightStore([("a\udc80", np.ones(1))]), path)
+    assert not path.exists()
+    with pytest.raises(FormatError, match="is not UTF-8"):
+        model_file_size([("a\udc80", (1,))], "f32")
+
+
+def test_load_non_utf8_blob_name_is_format_error(tmp_path):
+    """Two different invalid names are refused at the first, not merged into
+    one replacement character and reported as a duplicate."""
+    records = [struct.pack("<H", 1) + name + struct.pack("<BBIf", 32, 1, 1, 1.0)
+               for name in (b"\xff", b"\xfe")]
+    path = tmp_path / "bad-name.tssd"
+    path.write_bytes(b"TSSD" + struct.pack("<II", 1, 2) + b"".join(records))
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: blob name is not UTF-8 at byte 14$"):
+        load_weights(path)
+
+
 def test_load_empty_blob_too_large_for_numpy_is_format_error(tmp_path):
     path = tmp_path / "wide.tssd"
     path.write_bytes(b"TSSD" + struct.pack("<II", 1, 1) + struct.pack("<H", 3) + b"big"

@@ -266,6 +266,17 @@ def test_detect_requires_single_image(prior_set):
         detect(head, prior_set)
 
 
+def test_detect_refuses_classes_without_a_voc_name():
+    """A head wider than background plus the 20 VOC classes would emit class
+    ids that no detection line can name."""
+    boxes = PriorSet(boxes=np.array([[0.1, 0.1, 0.5, 0.5], [0.2, 0.2, 0.9, 0.9]]))
+    conf = np.zeros((2, 25), np.float32)
+    conf[:, 24] = 10.0
+    head = HeadOutput(loc=np.zeros((1, 2, 4), np.float32), conf=conf[None])
+    with pytest.raises(ShapeError, match="conf has 25 columns, more than background plus 20 VOC classes"):
+        detect(head, boxes)
+
+
 def test_detection_line_round_trips():
     det = Detection(class_id=12, score=0.875, box=(0.1, 0.2, 0.3, 0.4))
     line = format_detection_line("img_007", det)

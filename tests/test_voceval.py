@@ -19,7 +19,13 @@ from tinyssd.voceval import (
     read_detection_file,
 )
 
-from reference import ap_reference, map_reference, parse_lines_reference, random_eval_instance
+from reference import (
+    ap_reference,
+    devkit_ap_reference,
+    map_reference,
+    parse_lines_reference,
+    random_eval_instance,
+)
 
 ANNOTATION = """<annotation>
   <filename>000123.jpg</filename>
@@ -125,13 +131,6 @@ def test_perfect_detection_scores_one():
     assert result.mean_ap == pytest.approx(1.0)
 
 
-def test_iou_match_bounds_are_inclusive():
-    gt = [GroundTruthBox("a", "dog", (0.1, 0.1, 0.5, 0.5))]
-    lines = [_line("a", "dog", 1.0, (0.1, 0.1, 0.5, 0.5))]
-    assert evaluate(lines, gt, iou_match=1.0).mean_ap == 1.0  # an exact box has IoU 1
-    assert evaluate(lines, gt, iou_match=0.0).mean_ap == 1.0
-
-
 def test_low_overlap_scores_zero():
     gt = [GroundTruthBox("a", "dog", (0.0, 0.0, 0.5, 0.5))]
     # IoU = 0.25/(1.0) vs (0,0,1,1)? use a clearly sub-threshold box
@@ -164,6 +163,29 @@ def test_difficult_boxes_do_not_penalize():
     ]
     result = evaluate(lines, gt)
     assert result.class_aps["dog"] == pytest.approx(1.0)
+
+
+# Truth A, and B inside it: the detection DET has IoU 7/9 = 0.778 with A and
+# 0.6 with B. The VOC2007 devkit matches a detection to its highest-IoU truth
+# of all, difficult and already matched ones included; evaluate takes the
+# best unmatched, non-difficult truth at IoU >= 0.5 instead.
+A, B, DET = (0.1, 0.2, 1.0, 0.6), (0.1, 0.2, 0.52, 0.6), (0.1, 0.2, 0.8, 0.6)
+
+
+@pytest.mark.parametrize("truths, dets, devkit, tinyssd", [
+    ([(A, False), (B, False)], [(0.9, A), (0.8, DET)], 0.5455, 1.0),
+    ([(A, True), (B, False)], [(0.9, DET)], 0.0, 1.0),
+], ids=["duplicate", "difficult"])
+def test_matching_differs_from_the_devkit_rule(truths, dets, devkit, tinyssd):
+    """The devkit makes the duplicate an FP and ignores the detection whose
+    best truth is difficult; evaluate counts each as a TP on B."""
+    gt = [GroundTruthBox("a", "dog", box, hard) for box, hard in truths]
+    lines = [_line("a", "dog", score, box) for score, box in dets]
+    assert evaluate(lines, gt).class_aps["dog"] == pytest.approx(tinyssd)
+    ref_dets = [("a", score, box) for score, box in dets]
+    ref_gts = [("a", box, hard) for box, hard in truths]
+    assert ap_reference(ref_dets, ref_gts) == pytest.approx(tinyssd)
+    assert devkit_ap_reference(ref_dets, ref_gts) == pytest.approx(devkit, abs=5e-5)
 
 
 def test_lowering_fp_score_never_hurts():
