@@ -20,6 +20,10 @@ DEFAULT_VARIANCES = (0.1, 0.2)
 # Aspect ratios by priors per cell: a cell holds one min-size square, one
 # sqrt(min*max) square, and a w/h = a plus h/w = a pair per ratio.
 ASPECT_RATIOS = {4: (2.0,), 6: (2.0, 3.0)}
+# nms_per_class first walks the best _PREFIX * max_keep boxes. With the seed-7
+# model, on unit-variance 300x300 tensors and on noise frames at the channel
+# means, the 200th kept box came at visit 454-476: 2.3-2.4 times top_k 200.
+_PREFIX = 4
 
 
 @dataclass(frozen=True)
@@ -161,23 +165,52 @@ def nms_per_class(scores: np.ndarray, boxes: np.ndarray, iou_threshold: float,
     later boxes of its class that it overlaps with one IoU row. With
     max_keep, the walk stops after that many kept boxes in total, which
     equals the first max_keep of the full result.
+
+    The walk first visits only the best 4 * max_keep scores and every
+    score tied with the last of them: it sorts and gathers only that
+    prefix, and each IoU row spans only the prefix members of its class. A
+    prefix holds every box that ranks above one of its members, so its
+    decisions are those of the full walk. Only if it keeps fewer than
+    max_keep boxes, or the cut falls on a NaN score, does the walk run
+    again over every box.
     """
+    neg = -np.asarray(scores, dtype=np.float64)
+    n = len(neg)
+    labels = np.zeros(n, dtype=np.int64) if classes is None else np.asarray(classes)
+    boxes = np.asarray(boxes)
+    if neg.ndim != 1 or boxes.shape != (n, 4) or labels.shape != (n,):
+        raise ShapeError(f"nms needs (n,) scores, (n, 4) boxes and (n,) classes; got "
+                         f"{neg.shape}, {boxes.shape} and {labels.shape}")
     if max_keep is not None and max_keep < 0:
         raise ConfigError(f"max_keep must be >= 0, got {max_keep}")
-    neg = -np.asarray(scores, dtype=np.float64)
-    labels = np.zeros(len(neg), dtype=np.int64) if classes is None else np.asarray(classes)
-    run = np.lexsort((neg, labels))  # class-major, each class in rank order
-    boxes = np.asarray(boxes, dtype=np.float64)[run]
-    labels = labels[run]
-    alive = np.ones(len(run), dtype=bool)
-    limit = len(run) if max_keep is None else max_keep
+    limit = n if max_keep is None else max_keep
+    if limit == 0:
+        return []
+    if _PREFIX * limit < n:
+        cut = np.partition(neg, _PREFIX * limit - 1)[_PREFIX * limit - 1]  # NaN sorts last
+        first = np.flatnonzero(neg <= cut)  # empty when the cut is NaN
+        if 0 < len(first) < n:
+            run = first[np.lexsort((neg[first], labels[first]))]
+            kept = _walk(neg[run], boxes[run], labels[run], iou_threshold, limit)
+            if len(kept) == limit:
+                return run[kept].tolist()
+        del first  # n indices when every score ties: free them before the full walk
+    run = np.lexsort((neg, labels))
+    boxes = boxes[run]  # drops the last reference to a temporary input, as detect passes
+    return run[_walk(neg[run], boxes, labels[run], iou_threshold, limit)].tolist()
+
+
+def _walk(neg, boxes, labels, iou_threshold, limit) -> list[int]:
+    """nms_per_class's greedy walk over boxes in class-major order, each
+    class in rank order; returns the kept positions in output order."""
+    alive = np.ones(len(neg), dtype=bool)
     kept: list[int] = []
-    for p in np.argsort(neg[run], kind="stable"):  # run is class-major: ties go by class
+    for p in np.argsort(neg, kind="stable"):  # class-major: ties go by class
         if len(kept) >= limit:
             break
         if not alive[p]:
             continue
-        kept.append(int(run[p]))
+        kept.append(int(p))
         end = np.searchsorted(labels, labels[p], side="right")
         alive[p + 1:end] &= iou(boxes[p:p + 1], boxes[p + 1:end]) <= iou_threshold
     return kept
@@ -202,8 +235,12 @@ def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,
 
     One NMS walk ranks every class's candidates together and stops at top_k
     kept boxes. A box's fate depends only on the higher-ranked boxes of its
-    class, so the output is that of full NMS while the work is at most top_k
-    IoU rows.
+    class, so the output is that of full NMS. The walk first visits only the
+    best 4 * top_k candidates and any tied with the last of them, so the
+    work is usually at most top_k IoU rows, each over at most that prefix.
+    If the prefix holds fewer than top_k survivors, fewer than top_k such
+    rows are followed by at most top_k rows over the rest of a kept box's
+    class.
     """
     check_thresholds(conf_threshold, iou_threshold, top_k)
     if head.loc.ndim != 3 or head.loc.shape[0] != 1:

@@ -138,3 +138,69 @@ def test_negative_top_k_is_rejected(prior_set):
     head = _head(np.zeros((n, 4)), np.zeros((n, 21)))
     with pytest.raises(ConfigError, match="top_k"):
         detect(head, prior_set, top_k=-1)
+
+
+def _counting_iou(monkeypatch):
+    """Record (len(a), len(b)) of every priors.iou call."""
+    calls = []
+    real_iou = priors.iou
+
+    def counting_iou(a, b):
+        calls.append((len(a), len(b)))
+        return real_iou(a, b)
+
+    monkeypatch.setattr(priors, "iou", counting_iou)
+    return calls
+
+
+def test_random_head_rows_span_only_the_prefix(prior_set, monkeypatch):
+    """At conf 0 a random head gives 160,600 candidates and ~8,000 per
+    class; the walk keeps top_k boxes inside the best 4·top_k, so no IoU row
+    reaches past them."""
+    top_k = 200
+    rng = np.random.default_rng(5)
+    n = len(prior_set)
+    calls = _counting_iou(monkeypatch)
+    head = _head(rng.normal(0.0, 1.0, (n, 4)), rng.normal(0.0, 1.0, (n, 21)))
+    found = detect(head, prior_set, conf_threshold=0.0, top_k=top_k)
+    assert len(found) == top_k
+    assert all(b < 4 * top_k for _, b in calls)
+    assert sum(a for a, _ in calls) <= top_k
+
+
+def test_prefix_shortfall_walks_every_box(monkeypatch):
+    """The best 4·max_keep boxes are copies of one box per class, so the
+    prefix keeps 2 of 5; the rest come from the walk over every box."""
+    max_keep, n = 5, 60
+    rng = np.random.default_rng(0)
+    boxes = random_corner_boxes(rng, n)
+    labels = np.arange(n) % 2
+    scores = np.linspace(1.0, 0.1, n)
+    boxes[:4 * max_keep] = boxes[labels[:4 * max_keep]]  # box 0 or box 1 by class
+    calls = _counting_iou(monkeypatch)
+    got = nms_per_class(scores, boxes, 0.45, max_keep=max_keep, classes=labels)
+    merged = []
+    for c in range(2):
+        idx = np.flatnonzero(labels == c)
+        merged += [(-scores[i], c, int(i)) for i in idx[nms_reference(scores[idx], boxes[idx], 0.45)]]
+    assert got == [i for _, _, i in sorted(merged)[:max_keep]]
+    assert got[:2] == [0, 1] and min(got[2:]) >= 4 * max_keep
+    assert max(b for _, b in calls) > 4 * max_keep
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("nan_count", [0, 30, 90])
+def test_max_keep_with_nan_scores_and_ties_at_the_cut(seed, nan_count):
+    """Scores in steps of 0.1 tie at every cut, and NaN scores rank last;
+    with 90 of 120 NaN the cut itself is NaN for max_keep above 7. The
+    boxes repeat 25 shapes, so suppression is heavy and the max_keep-th
+    kept box often lies at the cut."""
+    rng = np.random.default_rng([seed, nan_count])
+    n = 120
+    boxes = random_corner_boxes(rng, 25)[rng.integers(0, 25, n)]
+    labels = rng.integers(0, 3, n)
+    scores = np.round(rng.uniform(0.0, 1.0, n), 1)
+    scores[rng.choice(n, nan_count, replace=False)] = np.nan
+    full = nms_per_class(scores, boxes, 0.3, classes=labels)
+    for k in range(n + 2):
+        assert nms_per_class(scores, boxes, 0.3, max_keep=k, classes=labels) == full[:k]

@@ -313,3 +313,59 @@ def test_store_rejects_duplicates_and_reports_missing():
         store.add("x", np.ones(1))
     with pytest.raises(MissingBlobError, match="ghost"):
         store["ghost"]
+
+
+def _field_ends(store, payload_itemsize):
+    """End offset of every field of a TSSD file of this store: the file
+    head, then each record's name length, name, dtype/rank, dims and payload."""
+    ends = [12]
+    for name, arr in store.items():
+        for size in (2, len(name.encode()), 2, 4 * arr.ndim, payload_itemsize * arr.size):
+            ends.append(ends[-1] + size)
+    return ends
+
+
+def test_every_load_error_of_the_seed7_model_names_a_byte(tmp_path, spec):
+    """Cuts and single-byte edits of the seed-7 f16 model either load or
+    raise a FormatError that ends 'at byte N' with N inside the file read.
+
+    Cuts: every length up to the end of the first record, then, for every
+    later field, a cut at its start and one byte short of its end. Each cut
+    inside one field fails the same length check, so these reach every
+    truncation message at every field. Edits: 2,000 seeded single bytes,
+    half in the file and record heads (under 0.2% of the file), half
+    anywhere."""
+    store = init_random(spec, 7)
+    path = tmp_path / "seed7.tssd"
+    save_weights(store, path, "f16")
+    raw = path.read_bytes()
+    ends = _field_ends(store, 2)
+    assert ends[-1] == len(raw)
+
+    def check(size):
+        try:
+            load_weights(path)
+        except FormatError as err:
+            m = re.search(r" at byte (\d+)$", str(err))
+            assert m and int(m.group(1)) <= size, str(err)
+
+    cuts = set(range(ends[5] + 1))
+    cuts.update(e for end in ends[6:] for e in (end - 1, end))
+    for cut in sorted(cuts - {len(raw)}, reverse=True):  # shrinking in place needs no rewrite
+        with open(path, "r+b") as f:
+            f.truncate(cut)
+        check(cut)
+
+    path.write_bytes(raw)
+    heads = np.concatenate([np.arange(12)] + [np.arange(start, end) for start, end
+                                              in zip(ends[0:-1:5], ends[4::5])])
+    rng = np.random.default_rng(7)
+    offsets = np.concatenate([rng.choice(heads, 1000), rng.integers(0, len(raw), 1000)])
+    for at, flip in zip(offsets, rng.integers(1, 256, 2000)):
+        with open(path, "r+b") as f:
+            f.seek(at)
+            f.write(bytes([raw[at] ^ flip]))
+        check(len(raw))
+        with open(path, "r+b") as f:
+            f.seek(at)
+            f.write(raw[at:at + 1])

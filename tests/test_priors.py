@@ -194,6 +194,15 @@ def test_nms_tie_broken_by_index():
     assert kept == [0]
 
 
+@pytest.mark.parametrize("boxes_shape, n_classes", [
+    ((2, 4), 3), ((4, 4), 3), ((3, 4), 2), ((3, 4), 4), ((3, 3), 3),
+], ids=["short-boxes", "long-boxes", "short-classes", "long-classes", "three-corners"])
+def test_nms_refuses_shapes_that_do_not_match_the_scores(boxes_shape, n_classes):
+    boxes = np.full(boxes_shape, 0.5)
+    with pytest.raises(ShapeError, match="nms needs"):
+        nms_per_class(np.ones(3), boxes, 0.45, classes=np.zeros(n_classes, dtype=int))
+
+
 def test_nms_matches_brute_force():
     rng = np.random.default_rng(2)
     for _ in range(20):
