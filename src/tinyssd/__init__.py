@@ -16,7 +16,6 @@ from .arch import (
     spec_from_json,
     spec_to_json,
     tiny_ssd_spec,
-    validate,
 )
 from .errors import (
     ConfigError,

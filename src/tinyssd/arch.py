@@ -1,5 +1,5 @@
-"""Declarative description of the Tiny SSD graph: layer table, validation,
-the lowering into primitive steps (which also checks the graph), static
+"""Declarative description of the Tiny SSD graph: layer table, the lowering
+into primitive steps (which also checks the graph and its heads), static
 shape inference, the parameter manifest, and text/JSON rendering."""
 
 from __future__ import annotations
@@ -138,38 +138,6 @@ def tiny_ssd_spec() -> ArchSpec:
     return ArchSpec(layers=tuple(layers), heads=tuple(heads))
 
 
-def validate(spec: ArchSpec) -> None:
-    """Structural validation: the graph checks of :func:`lower`, which also
-    raises GeometryError for a layer that cannot run at spec.input_size, then
-    head predictors consistent with priors-per-cell."""
-    if spec.class_count < 2:
-        raise SpecError(f"class_count must be >= 2, got {spec.class_count}")
-    if spec.input_size < 1 or spec.input_channels < 1:
-        raise SpecError("input size and channels must be positive")
-    declared = {name for name, _ in lower(spec)}
-    for head in spec.heads:
-        for role, name in (("source", head.source), ("loc", head.loc), ("conf", head.conf)):
-            if name not in declared:
-                raise SpecError(f"head {role} layer {name!r} is not declared")
-        if head.priors_per_cell < 1:
-            raise SpecError(f"head at {head.source}: priors_per_cell must be >= 1")
-        for role, name, per_prior in (
-            ("loc", head.loc, 4),
-            ("conf", head.conf, spec.class_count),
-        ):
-            layer = spec.layer(name)
-            if layer.kind != "conv":
-                raise SpecError(f"head {role} layer {name!r} must be a conv layer")
-            if layer.inputs != (head.source,):
-                raise SpecError(f"head {role} layer {name!r} does not read from {head.source!r}")
-            want = head.priors_per_cell * per_prior
-            if layer.geometry.out_channels != want:
-                raise SpecError(
-                    f"head {role} layer {name!r} has {layer.geometry.out_channels} channels, "
-                    f"expected {want} for {head.priors_per_cell} priors"
-                )
-
-
 @dataclass(frozen=True)
 class Step:
     """One primitive operation of a lowered layer: "conv", "pool" or "concat".
@@ -218,11 +186,18 @@ def lower(spec: ArchSpec) -> list[tuple[str, tuple[Step, ...]]]:
     Conv and pool layers are one step of the same name. A fire layer is a
     1x1 squeeze conv, then parallel 1x1 and pad-1 3x3 expand convs, joined by
     a concat named after the layer; nothing else knows this. The last step's
-    output is the layer's output. Runs without weights; raises SpecError for
-    a duplicate or reserved name, a layer without exactly one input, an
-    undeclared input or an unknown geometry type, and GeometryError for a
-    non-positive extent.
+    output is the layer's output. Runs without weights and is the one check
+    of a spec: SpecError for a class count below 2, a non-positive input size
+    or channel count, a duplicate or reserved name, a layer without exactly
+    one input, an undeclared input, an unknown geometry type, or a head with
+    an undeclared layer, under 1 prior per cell, or a loc or conf that is not
+    a conv reading its source with priors x 4 or priors x class_count
+    channels; GeometryError for a non-positive extent.
     """
+    if spec.class_count < 2:
+        raise SpecError(f"class_count must be >= 2, got {spec.class_count}")
+    if spec.input_size < 1 or spec.input_channels < 1:
+        raise SpecError("input size and channels must be positive")
     shapes = {INPUT_NAME: (spec.input_channels, spec.input_size, spec.input_size)}
     lowered = []
     for layer in spec.layers:
@@ -252,6 +227,23 @@ def lower(spec: ArchSpec) -> list[tuple[str, tuple[Step, ...]]]:
             steps = (_step(layer.name, layer.kind, (upstream,), g, known),)
         shapes[layer.name] = steps[-1].out_shape
         lowered.append((layer.name, steps))
+    layers = {layer.name: layer for layer in spec.layers}
+    for head in spec.heads:
+        for role, name in (("source", head.source), ("loc", head.loc), ("conf", head.conf)):
+            if name not in layers:
+                raise SpecError(f"head {role} layer {name!r} is not declared")
+        if head.priors_per_cell < 1:
+            raise SpecError(f"head at {head.source}: priors_per_cell must be >= 1")
+        for role, name, per_prior in (("loc", head.loc, 4), ("conf", head.conf, spec.class_count)):
+            layer = layers[name]
+            if layer.kind != "conv":
+                raise SpecError(f"head {role} layer {name!r} must be a conv layer")
+            if layer.inputs != (head.source,):
+                raise SpecError(f"head {role} layer {name!r} does not read from {head.source!r}")
+            want = head.priors_per_cell * per_prior
+            if layer.geometry.out_channels != want:
+                raise SpecError(f"head {role} layer {name!r} has {layer.geometry.out_channels} "
+                                f"channels, expected {want} for {head.priors_per_cell} priors")
     return lowered
 
 
@@ -375,5 +367,5 @@ def spec_from_json(text: str) -> ArchSpec:
                         **_json_values(ArchSpec, doc, skip=("layers", "heads")))
     except (KeyError, TypeError) as e:
         raise SpecError(f"malformed arch dump: {e!r}") from None
-    validate(spec)
+    lower(spec)
     return spec

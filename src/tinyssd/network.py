@@ -53,13 +53,10 @@ def activations(spec: ArchSpec, store, image: Tensor) -> dict[str, Tensor]:
     return computed
 
 
-def _prior_rows(t: Tensor, width: int, name: str) -> np.ndarray:
+def _prior_rows(t: Tensor, width: int) -> np.ndarray:
     """(n, b*width, h, w) -> (n, h*w*b, width) with prior index innermost."""
     n, c, h, w = t.shape
-    if c % width:
-        raise ShapeError(f"{name}: {c} channels not divisible by {width} values per prior")
-    b = c // width
-    return t.data.transpose(0, 2, 3, 1).reshape(n, h * w * b, width)
+    return t.data.transpose(0, 2, 3, 1).reshape(n, h * w * c // width, width)
 
 
 def forward(spec: ArchSpec, store, image: Tensor) -> HeadOutput:
@@ -70,6 +67,6 @@ def forward(spec: ArchSpec, store, image: Tensor) -> HeadOutput:
     # detect never emits a row made non-finite that way, so no warning is due.
     with np.errstate(over="ignore", invalid="ignore"):
         acts = activations(spec, store, image)
-    loc = [_prior_rows(acts[h.loc], 4, h.loc) for h in spec.heads]
-    conf = [_prior_rows(acts[h.conf], spec.class_count, h.conf) for h in spec.heads]
+    loc = [_prior_rows(acts[h.loc], 4) for h in spec.heads]
+    conf = [_prior_rows(acts[h.conf], spec.class_count) for h in spec.heads]
     return HeadOutput(loc=np.concatenate(loc, axis=1), conf=np.concatenate(conf, axis=1))

@@ -35,6 +35,8 @@ class PriorConfig:
     input_size: int
 
     def __post_init__(self):
+        if not self.scales:
+            raise ConfigError("a prior layout needs at least one scale")
         for _, per_cell in self.scales:
             if per_cell not in ASPECT_RATIOS:
                 raise ConfigError(f"{per_cell} priors per cell; only 4 or 6 are laid out")
@@ -42,7 +44,7 @@ class PriorConfig:
             raise ConfigError(f"default sizes cover {len(DEFAULT_BOX_SIZES) - 1} scales, "
                               f"got {len(self.scales)}")
         max_size = DEFAULT_BOX_SIZES[len(self.scales)]
-        if self.scales and max_size > self.input_size * 1.05 + 1e-9:
+        if max_size > self.input_size * 1.05 + 1e-9:
             # SSD convention allows the last max_size to slightly exceed the input
             raise ConfigError(f"max_size {max_size} too large for input {self.input_size}")
 
@@ -172,7 +174,8 @@ def nms_per_class(scores: np.ndarray, boxes: np.ndarray, iou_threshold: float,
     prefix holds every box that ranks above one of its members, so its
     decisions are those of the full walk. Only if it keeps fewer than
     max_keep boxes, or the cut falls on a NaN score, does the walk run
-    again over every box.
+    again over every box. A negative max_keep or an iou_threshold outside
+    [0, 1] raises ConfigError.
     """
     neg = -np.asarray(scores, dtype=np.float64)
     n = len(neg)
@@ -183,6 +186,7 @@ def nms_per_class(scores: np.ndarray, boxes: np.ndarray, iou_threshold: float,
                          f"{neg.shape}, {boxes.shape} and {labels.shape}")
     if max_keep is not None and max_keep < 0:
         raise ConfigError(f"max_keep must be >= 0, got {max_keep}")
+    _check_iou_threshold(iou_threshold)
     limit = n if max_keep is None else max_keep
     if limit == 0:
         return []
@@ -216,6 +220,11 @@ def _walk(neg, boxes, labels, iou_threshold, limit) -> list[int]:
     return kept
 
 
+def _check_iou_threshold(iou_threshold: float) -> None:
+    if not 0 <= iou_threshold <= 1:  # NaN fails too
+        raise ConfigError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+
+
 def check_thresholds(conf_threshold: float, iou_threshold: float, top_k: int) -> None:
     """Raise ConfigError unless detect can run with these settings: a finite
     conf_threshold, an iou_threshold in [0, 1] and a top_k of at least 0."""
@@ -223,8 +232,7 @@ def check_thresholds(conf_threshold: float, iou_threshold: float, top_k: int) ->
         raise ConfigError(f"top_k must be >= 0, got {top_k}")
     if not math.isfinite(conf_threshold):
         raise ConfigError(f"conf_threshold must be finite, got {conf_threshold}")
-    if not 0 <= iou_threshold <= 1:
-        raise ConfigError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+    _check_iou_threshold(iou_threshold)
 
 
 def detect(head: HeadOutput, priors: PriorSet, conf_threshold: float = 0.5,

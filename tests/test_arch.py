@@ -15,10 +15,10 @@ from tinyssd.arch import (
     describe_text,
     display_name,
     intermediate_shapes,
+    lower,
     param_manifest,
     spec_from_json,
     spec_to_json,
-    validate,
 )
 from tinyssd.errors import GeometryError, SpecError
 
@@ -86,7 +86,7 @@ def test_duplicate_layer_name_rejected():
         LayerSpec("a", ConvSpec(1), ("a",)),
     )
     with pytest.raises(SpecError, match="duplicate"):
-        validate(ArchSpec(layers=layers))
+        lower(ArchSpec(layers=layers))
 
 
 def test_forward_reference_rejected():
@@ -95,7 +95,7 @@ def test_forward_reference_rejected():
         LayerSpec("b", ConvSpec(1), ("image",)),
     )
     with pytest.raises(SpecError, match="cycle or forward reference"):
-        validate(ArchSpec(layers=layers))
+        lower(ArchSpec(layers=layers))
 
 
 # A valid two-class graph: a head on "a", a pool "p" and a conv "q" after it.
@@ -129,9 +129,9 @@ _SMALL_SPEC = ArchSpec(layers=_SMALL_LAYERS, heads=(HeadSpec("a", "loc", "conf",
         "two-inputs", "undeclared-source", "undeclared-loc", "undeclared-conf",
         "no-priors", "head-not-conv", "head-reads-elsewhere"])
 def test_invalid_spec_is_spec_error(changes, message):
-    validate(_SMALL_SPEC)
+    lower(_SMALL_SPEC)
     with pytest.raises(SpecError, match=message):
-        validate(replace(_SMALL_SPEC, **changes))
+        lower(replace(_SMALL_SPEC, **changes))
 
 
 def test_json_rejects_unknown_kind(spec):
@@ -144,7 +144,7 @@ def test_json_rejects_unknown_kind(spec):
 def test_head_channel_mismatch_rejected(spec):
     heads = (HeadSpec(spec.heads[0].source, spec.heads[0].loc, spec.heads[0].conf, 6),) + spec.heads[1:]
     with pytest.raises(SpecError, match="fire4_mbox_loc"):
-        validate(ArchSpec(layers=spec.layers, heads=heads))
+        lower(ArchSpec(layers=spec.layers, heads=heads))
 
 
 def test_unknown_geometry_type_rejected():
@@ -154,7 +154,7 @@ def test_unknown_geometry_type_rejected():
 
     spec = ArchSpec(layers=(LayerSpec("a", NormSpec(), ("image",)),))
     with pytest.raises(SpecError, match="a: unknown geometry type NormSpec"):
-        validate(spec)
+        lower(spec)
     with pytest.raises(SpecError, match="NormSpec"):
         spec_to_json(spec)
 

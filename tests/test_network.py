@@ -1,10 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tinyssd.arch import ArchSpec, ConvSpec, FireConfig, HeadSpec, LayerSpec, intermediate_shapes
+from tinyssd import accountant, network
+from tinyssd.arch import (
+    ArchSpec,
+    ConvSpec,
+    FireConfig,
+    HeadSpec,
+    LayerSpec,
+    describe_text,
+    intermediate_shapes,
+    param_manifest,
+)
 from tinyssd.errors import MissingBlobError, ShapeError, SpecError
 from tinyssd.modelio import WeightStore, init_random
 from tinyssd.network import activations, forward
+from tinyssd.priors import tiny_ssd_prior_config
 from tinyssd.tensor import Tensor
 
 
@@ -185,3 +198,42 @@ def test_prior_row_ordering_matches_channel_layout():
             for p in range(2):
                 row = out.loc[0, (i * 2 + j) * 2 + p]
                 assert np.array_equal(row, raw[p * 4:(p + 1) * 4, i, j])
+
+
+def _misrouted_fire8_loc(spec):
+    """fire8_mbox_loc reads fire7, which is also 18x18."""
+    layers = tuple(replace(l, inputs=("fire7",)) if l.name == "fire8_mbox_loc" else l
+                   for l in spec.layers)
+    return replace(spec, layers=layers), "fire8_mbox_loc' does not read from 'fire8'"
+
+
+def _fire4_two_priors(spec):
+    """fire4 declared with 2 priors per cell beside its 4-prior predictors."""
+    heads = (replace(spec.heads[0], priors_per_cell=2),) + spec.heads[1:]
+    return replace(spec, heads=heads), "fire4_mbox_loc' has 16 channels, expected 8"
+
+
+@pytest.mark.parametrize("corrupt", [_misrouted_fire8_loc, _fire4_two_priors],
+                         ids=["misrouted-loc", "wrong-priors-per-cell"])
+@pytest.mark.parametrize("consumer", [
+    forward,
+    activations,
+    lambda spec, *_: param_manifest(spec),
+    lambda spec, *_: init_random(spec, 0),
+    lambda spec, *_: accountant.audit(spec),
+    lambda spec, *_: describe_text(spec),
+    lambda spec, *_: tiny_ssd_prior_config(spec),
+], ids=["forward", "activations", "param_manifest", "init_random", "audit",
+        "describe_text", "prior_config"])
+def test_every_consumer_refuses_a_bad_head(spec, store, test_image, monkeypatch,
+                                           corrupt, consumer):
+    """Each entry point that takes a spec runs the head checks of lower
+    before any conv, so none can build output from the wrong layer."""
+    bad, message = corrupt(spec)
+
+    def no_conv(*args, **kwargs):
+        raise AssertionError("a conv ran on a spec with a bad head")
+
+    monkeypatch.setattr(network, "conv2d", no_conv)
+    with pytest.raises(SpecError, match=message):
+        consumer(bad, store, test_image)

@@ -96,6 +96,13 @@ def test_scale_priors_ratio_consistency():
     assert len(generate_priors(PriorConfig(scales=((1, 4),) * 6, input_size=300))) == 24
 
 
+def test_prior_layout_needs_a_scale(spec):
+    with pytest.raises(ConfigError, match="at least one scale"):
+        PriorConfig(scales=(), input_size=300)
+    with pytest.raises(ConfigError, match="at least one scale"):
+        tiny_ssd_prior_config(dataclasses.replace(spec, heads=()))
+
+
 def test_decode_zero_offsets_returns_priors(prior_set):
     loc = np.zeros((len(prior_set), 4), dtype=np.float32)
     decoded = decode_boxes(loc, prior_set)
@@ -192,6 +199,15 @@ def test_nms_tie_broken_by_index():
     boxes = np.array([[0.1, 0.1, 0.5, 0.5], [0.1, 0.1, 0.5, 0.5]])
     kept = nms_per_class(np.array([0.7, 0.7]), boxes, 0.45)
     assert kept == [0]
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -0.5, 1.5])
+def test_nms_refuses_iou_threshold_outside_unit_interval(threshold):
+    """A NaN or negative threshold would drop even a disjoint box."""
+    boxes = np.array([[0, 0, 0.1, 0.1], [0.5, 0.5, 0.6, 0.6]])
+    with pytest.raises(ConfigError, match=r"iou_threshold must be in \[0, 1\], got"):
+        nms_per_class(np.array([0.9, 0.8]), boxes, threshold)
+    assert nms_per_class(np.array([0.9, 0.8]), boxes, 0.0) == [0, 1]
 
 
 @pytest.mark.parametrize("boxes_shape, n_classes", [
