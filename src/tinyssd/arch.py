@@ -7,8 +7,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from .errors import GeometryError, SpecError
-from .ops import ConvSpec, PoolSpec, conv_out_extent, pool_out_extent
+from .errors import SpecError
+from .ops import ConvSpec, PoolSpec, out_extents
 
 VOC_CLASSES = (
     "aeroplane", "bicycle", "bird", "boat", "bottle",
@@ -165,16 +165,10 @@ class Step:
 def _step(name, op, inputs, g, known) -> Step:
     """Build one step and record its output shape in known."""
     c, h, w = known[inputs[0]]
-    if op == "conv":
-        shape = (g.out_channels, conv_out_extent(h, g.kernel[0], g.stride, g.pad),
-                 conv_out_extent(w, g.kernel[1], g.stride, g.pad))
-    elif op == "pool":
-        shape = (c, pool_out_extent(h, g.kernel[0], g.stride, g.rounding),
-                 pool_out_extent(w, g.kernel[1], g.stride, g.rounding))
-    else:  # concat
+    if op == "concat":
         shape = (sum(known[i][0] for i in inputs), h, w)
-    if shape[1] < 1 or shape[2] < 1:
-        raise GeometryError(f"{name}: output extent {shape[1]}x{shape[2]} on {h}x{w} input")
+    else:
+        shape = (g.out_channels if op == "conv" else c, *out_extents(g, h, w, name))
     known[name] = shape
     return Step(name, op, inputs, g, (c, h, w), shape)
 
@@ -191,8 +185,8 @@ def lower(spec: ArchSpec) -> list[tuple[str, tuple[Step, ...]]]:
     or channel count, a duplicate or reserved name, a layer without exactly
     one input, an undeclared input, an unknown geometry type, or a head with
     an undeclared layer, under 1 prior per cell, or a loc or conf that is not
-    a conv reading its source with priors x 4 or priors x class_count
-    channels; GeometryError for a non-positive extent.
+    a conv reading its source with priors x 4 or priors x class_count channels
+    on its grid; GeometryError from ops.out_extents for an output extent below 1.
     """
     if spec.class_count < 2:
         raise SpecError(f"class_count must be >= 2, got {spec.class_count}")
@@ -227,23 +221,28 @@ def lower(spec: ArchSpec) -> list[tuple[str, tuple[Step, ...]]]:
             steps = (_step(layer.name, layer.kind, (upstream,), g, known),)
         shapes[layer.name] = steps[-1].out_shape
         lowered.append((layer.name, steps))
-    layers = {layer.name: layer for layer in spec.layers}
+    plan = dict(lowered)
     for head in spec.heads:
         for role, name in (("source", head.source), ("loc", head.loc), ("conf", head.conf)):
-            if name not in layers:
+            if name not in plan:
                 raise SpecError(f"head {role} layer {name!r} is not declared")
         if head.priors_per_cell < 1:
             raise SpecError(f"head at {head.source}: priors_per_cell must be >= 1")
+        _, src_h, src_w = plan[head.source][-1].out_shape
         for role, name, per_prior in (("loc", head.loc, 4), ("conf", head.conf, spec.class_count)):
-            layer = layers[name]
-            if layer.kind != "conv":
+            step = plan[name][-1]
+            if step.op != "conv":
                 raise SpecError(f"head {role} layer {name!r} must be a conv layer")
-            if layer.inputs != (head.source,):
+            if step.inputs != (head.source,):
                 raise SpecError(f"head {role} layer {name!r} does not read from {head.source!r}")
+            channels, h, w = step.out_shape
             want = head.priors_per_cell * per_prior
-            if layer.geometry.out_channels != want:
-                raise SpecError(f"head {role} layer {name!r} has {layer.geometry.out_channels} "
+            if channels != want:
+                raise SpecError(f"head {role} layer {name!r} has {channels} "
                                 f"channels, expected {want} for {head.priors_per_cell} priors")
+            if (h, w) != (src_h, src_w):
+                raise SpecError(f"head {role} layer {name!r} has a {h}x{w} grid, "
+                                f"expected {src_h}x{src_w} of {head.source!r}")
     return lowered
 
 

@@ -19,6 +19,13 @@ from .errors import GeometryError, ShapeError, SpecError
 from .tensor import Tensor
 
 
+def _check_kernel(g) -> None:
+    """SpecError unless g.kernel is a tuple of two positive ints; a bool is no int."""
+    if not (isinstance(g.kernel, tuple) and len(g.kernel) == 2
+            and all(type(k) is int and k >= 1 for k in g.kernel)):
+        raise SpecError(f"{type(g).__name__} kernel must be two positive ints, got {g.kernel!r}")
+
+
 @dataclass(frozen=True)
 class ConvSpec:
     """Geometry of one convolution layer (weights live in the WeightStore)."""
@@ -31,7 +38,8 @@ class ConvSpec:
     activation: str = "relu"  # "relu" or "none"
 
     def __post_init__(self):
-        if self.out_channels < 1 or min(self.kernel) < 1 or self.stride < 1 or self.pad < 0:
+        _check_kernel(self)
+        if self.out_channels < 1 or self.stride < 1 or self.pad < 0:
             raise SpecError(f"invalid conv geometry: {self}")
         if self.activation not in ("relu", "none"):
             raise SpecError(f"unknown activation {self.activation!r}")
@@ -46,7 +54,8 @@ class PoolSpec:
     rounding: str = "ceil"
 
     def __post_init__(self):
-        if min(self.kernel) < 1 or self.stride < 1:
+        _check_kernel(self)
+        if self.stride < 1:
             raise SpecError(f"invalid pool geometry: {self}")
         if self.rounding not in ("ceil", "floor"):
             raise SpecError(f"pool rounding must be 'ceil' or 'floor', got {self.rounding!r}")
@@ -69,6 +78,18 @@ def pool_out_extent(in_extent: int, kernel: int, stride: int, rounding: str) -> 
             out -= 1
         return out
     return (in_extent - kernel) // stride + 1
+
+
+def out_extents(g: ConvSpec | PoolSpec, h: int, w: int, layer: str) -> tuple[int, int]:
+    """Output height and width of a conv or pool over an h x w input; the one
+    place a geometry that leaves no output is refused, with GeometryError."""
+    if isinstance(g, ConvSpec):
+        out_h, out_w = (conv_out_extent(n, k, g.stride, g.pad) for n, k in zip((h, w), g.kernel))
+    else:
+        out_h, out_w = (pool_out_extent(n, k, g.stride, g.rounding) for n, k in zip((h, w), g.kernel))
+    if out_h < 1 or out_w < 1:
+        raise GeometryError(f"{layer}: {g} on {h}x{w} input gives non-positive output {out_h}x{out_w}")
+    return out_h, out_w
 
 
 # Largest K (input channels x kernel taps) that one float32 GEMM call sums
@@ -95,13 +116,7 @@ def conv2d(x: Tensor, g: ConvSpec, weights, bias=None, layer: str = "conv") -> T
         )
     if bias.shape != (oc,):
         raise ShapeError(f"{layer}: bias shape {bias.shape}, expected ({oc},)")
-    out_h = conv_out_extent(h, kh, g.stride, g.pad)
-    out_w = conv_out_extent(w, kw, g.stride, g.pad)
-    if out_h < 1 or out_w < 1:
-        raise GeometryError(
-            f"{layer}: kernel {kh}x{kw} stride {g.stride} pad {g.pad} on {h}x{w} input "
-            f"gives non-positive output {out_h}x{out_w}"
-        )
+    out_h, out_w = out_extents(g, h, w, layer)
 
     data = x.data
     if g.pad:
@@ -123,13 +138,7 @@ def maxpool2d(x: Tensor, g: PoolSpec, layer: str = "pool") -> Tensor:
     """Max over each (possibly border-clipped) pooling window."""
     n, c, h, w = x.shape
     kh, kw = g.kernel
-    out_h = pool_out_extent(h, kh, g.stride, g.rounding)
-    out_w = pool_out_extent(w, kw, g.stride, g.rounding)
-    if out_h < 1 or out_w < 1:
-        raise GeometryError(
-            f"{layer}: kernel {kh}x{kw} stride {g.stride} on {h}x{w} input "
-            f"gives non-positive output {out_h}x{out_w}"
-        )
+    out_h, out_w = out_extents(g, h, w, layer)
     # Fold the kh*kw strided taps together. Every window starts inside the
     # input; a -inf pad on the right and bottom clips the border ones, since it
     # never wins a max, and np.maximum still propagates NaN.

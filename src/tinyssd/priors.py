@@ -71,10 +71,17 @@ class Detection:
 
 
 def tiny_ssd_prior_config(spec: ArchSpec) -> PriorConfig:
-    """Prior layout matching a spec's head scales."""
+    """Prior layout matching a spec's head scales; ConfigError for a head
+    source whose grid is not square, which the layout cannot tile."""
     shapes = dict(intermediate_shapes(spec))
-    return PriorConfig(tuple((shapes[h.source][1], h.priors_per_cell) for h in spec.heads),
-                       spec.input_size)
+    scales = []
+    for h in spec.heads:
+        _, rows, cols = shapes[h.source]
+        if rows != cols:
+            raise ConfigError(f"head source {h.source!r} has a {rows}x{cols} grid; "
+                              "priors are laid out on square grids only")
+        scales.append((rows, h.priors_per_cell))
+    return PriorConfig(tuple(scales), spec.input_size)
 
 
 def generate_priors(cfg: PriorConfig) -> PriorSet:

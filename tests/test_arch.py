@@ -21,6 +21,8 @@ from tinyssd.arch import (
     spec_to_json,
 )
 from tinyssd.errors import GeometryError, SpecError
+from tinyssd.ops import conv2d, maxpool2d
+from tinyssd.tensor import Tensor
 
 EXPECTED_SIZES = {
     "conv1": 149, "pool1": 74, "fire1": 74, "fire2": 74,
@@ -80,6 +82,22 @@ def test_geometry_error_on_impossible_layer():
         intermediate_shapes(bad)
 
 
+@pytest.mark.parametrize("geometry, input_size, kernel", [
+    (ConvSpec(1, kernel=(9, 9), pad=0), 4, conv2d),
+    (PoolSpec((3, 3), stride=2, rounding="floor"), 1, maxpool2d),
+], ids=["conv", "pool"])
+def test_lower_and_kernel_refuse_an_empty_output_alike(geometry, input_size, kernel):
+    """Shape inference and the kernels share one extent rule and one message."""
+    bad = ArchSpec(layers=(LayerSpec("c", geometry, ("image",)),), input_size=input_size)
+    with pytest.raises(GeometryError) as from_lower:
+        lower(bad)
+    x = Tensor(np.zeros((1, 3, input_size, input_size), dtype=np.float32))
+    args = (np.zeros((1, 3, *geometry.kernel)),) if kernel is conv2d else ()
+    with pytest.raises(GeometryError) as from_kernel:
+        kernel(x, geometry, *args, layer="c")
+    assert str(from_lower.value) == str(from_kernel.value)
+
+
 def test_duplicate_layer_name_rejected():
     layers = (
         LayerSpec("a", ConvSpec(1), ("image",)),
@@ -125,9 +143,12 @@ _SMALL_SPEC = ArchSpec(layers=_SMALL_LAYERS, heads=(HeadSpec("a", "loc", "conf",
     ({"heads": (HeadSpec("a", "loc", "conf", 0),)}, "head at a: priors_per_cell must be >= 1"),
     ({"heads": (HeadSpec("a", "p", "conf", 1),)}, "head loc layer 'p' must be a conv layer"),
     ({"heads": (HeadSpec("a", "loc", "q", 1),)}, "head conf layer 'q' does not read from 'a'"),
+    ({"layers": tuple(replace(l, geometry=replace(l.geometry, stride=2)) if l.name == "loc" else l
+                      for l in _SMALL_LAYERS)},
+     "head loc layer 'loc' has a 4x4 grid, expected 8x8 of 'a'"),
 ], ids=["class-count", "input-size", "input-channels", "reserved-name", "no-input",
         "two-inputs", "undeclared-source", "undeclared-loc", "undeclared-conf",
-        "no-priors", "head-not-conv", "head-reads-elsewhere"])
+        "no-priors", "head-not-conv", "head-reads-elsewhere", "head-off-grid"])
 def test_invalid_spec_is_spec_error(changes, message):
     lower(_SMALL_SPEC)
     with pytest.raises(SpecError, match=message):
@@ -257,3 +278,12 @@ def test_fire_config_rejects_zero_counts():
 def test_pool_spec_rejects_bad_rounding():
     with pytest.raises(SpecError):
         PoolSpec(rounding="nearest")
+
+
+@pytest.mark.parametrize("make", [lambda k: ConvSpec(2, kernel=k), lambda k: PoolSpec(kernel=k)],
+                         ids=["conv", "pool"])
+@pytest.mark.parametrize("kernel", [3, (3,), (3, 3, 3), (3.0, 3), (True, 3), (0, 3), [3, 3]],
+                         ids=["int", "one", "three", "float", "bool", "zero", "list"])
+def test_geometry_rejects_a_kernel_that_is_not_two_positive_ints(make, kernel):
+    with pytest.raises(SpecError, match="kernel must be two positive ints"):
+        make(kernel)

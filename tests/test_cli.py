@@ -49,6 +49,13 @@ def test_describe_contains_fire5(capsys):
     assert "44@S -- 166@E1 -- 161@E3" in out
 
 
+def test_describe_text_output_is_pinned(capsys):
+    """The paper's layer table, whose Input Size column comes from lower."""
+    assert main(["describe"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "0603fddffec0807d3e258e65209a0c21cd07e6fef635b85eca491a3d3249e664"
+
+
 def test_describe_struct_round_trips(capsys):
     assert main(["describe", "--format", "struct"]) == 0
     out = capsys.readouterr().out

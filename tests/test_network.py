@@ -213,8 +213,15 @@ def _fire4_two_priors(spec):
     return replace(spec, heads=heads), "fire4_mbox_loc' has 16 channels, expected 8"
 
 
-@pytest.mark.parametrize("corrupt", [_misrouted_fire8_loc, _fire4_two_priors],
-                         ids=["misrouted-loc", "wrong-priors-per-cell"])
+def _strided_fire8_loc(spec):
+    """fire8_mbox_loc with stride 2, a 9x9 grid beside its 18x18 source."""
+    layers = tuple(replace(l, geometry=replace(l.geometry, stride=2))
+                   if l.name == "fire8_mbox_loc" else l for l in spec.layers)
+    return replace(spec, layers=layers), "fire8_mbox_loc' has a 9x9 grid, expected 18x18 of 'fire8'"
+
+
+@pytest.mark.parametrize("corrupt", [_misrouted_fire8_loc, _fire4_two_priors, _strided_fire8_loc],
+                         ids=["misrouted-loc", "wrong-priors-per-cell", "strided-loc"])
 @pytest.mark.parametrize("consumer", [
     forward,
     activations,

@@ -103,6 +103,15 @@ def test_prior_layout_needs_a_scale(spec):
         tiny_ssd_prior_config(dataclasses.replace(spec, heads=()))
 
 
+def test_prior_layout_refuses_a_non_square_head_grid(spec):
+    """A (3, 1) conv13_1 leaves conv13_2 at 1x2, which a side-length layout
+    would count as 1x1 and so lay out 4 boxes fewer than the head predicts."""
+    layers = tuple(dataclasses.replace(l, geometry=dataclasses.replace(l.geometry, kernel=(3, 1)))
+                   if l.name == "conv13_1" else l for l in spec.layers)
+    with pytest.raises(ConfigError, match="head source 'conv13_2' has a 1x2 grid"):
+        tiny_ssd_prior_config(dataclasses.replace(spec, layers=layers))
+
+
 def test_decode_zero_offsets_returns_priors(prior_set):
     loc = np.zeros((len(prior_set), 4), dtype=np.float32)
     decoded = decode_boxes(loc, prior_set)
