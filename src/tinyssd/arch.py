@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass, fields
 
 from .errors import SpecError
-from .ops import ConvSpec, PoolSpec, out_extents
+from .ops import ConvSpec, PoolSpec, TypedFields, dump_key, out_extents
 
 VOC_CLASSES = (
     "aeroplane", "bicycle", "bird", "boat", "bottle",
@@ -23,7 +23,7 @@ INPUT_NAME = "image"  # reserved upstream name for the network input
 
 
 @dataclass(frozen=True)
-class FireConfig:
+class FireConfig(TypedFields):
     """Filter counts of one fire module: squeeze 1x1, expand 1x1, expand 3x3."""
 
     squeeze: int
@@ -31,6 +31,7 @@ class FireConfig:
     expand3x3: int
 
     def __post_init__(self):
+        super().__post_init__()
         if min(self.squeeze, self.expand1x1, self.expand3x3) < 1:
             raise SpecError(f"fire filter counts must be >= 1, got {self}")
 
@@ -39,7 +40,7 @@ _GEOMETRY_KINDS = {"conv": ConvSpec, "pool": PoolSpec, "fire": FireConfig}
 
 
 @dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(TypedFields):
     """One named node of the graph. inputs name previously declared layers
     (or the reserved input name), so any valid spec is already in
     topological order."""
@@ -51,14 +52,11 @@ class LayerSpec:
     @property
     def kind(self) -> str:
         """"conv", "pool" or "fire", from the geometry's type."""
-        for kind, geometry_type in _GEOMETRY_KINDS.items():
-            if isinstance(self.geometry, geometry_type):
-                return kind
-        raise SpecError(f"{self.name}: unknown geometry type {type(self.geometry).__name__}")
+        return next(kind for kind, t in _GEOMETRY_KINDS.items() if isinstance(self.geometry, t))
 
 
 @dataclass(frozen=True)
-class HeadSpec:
+class HeadSpec(TypedFields):
     """One detection scale: a source feature layer and its loc/conf predictors."""
 
     source: str
@@ -68,7 +66,7 @@ class HeadSpec:
 
 
 @dataclass(frozen=True)
-class ArchSpec:
+class ArchSpec(TypedFields):
     """Whole-network description; immutable and shareable across threads."""
 
     layers: tuple[LayerSpec, ...]
@@ -76,12 +74,6 @@ class ArchSpec:
     class_count: int = CLASS_COUNT
     input_size: int = INPUT_SIZE
     input_channels: int = INPUT_CHANNELS
-
-    def layer(self, name: str) -> LayerSpec:
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise SpecError(f"no layer named {name!r}")
 
 
 # The body in layer order; each layer reads the one above it. Fire rows
@@ -180,13 +172,13 @@ def lower(spec: ArchSpec) -> list[tuple[str, tuple[Step, ...]]]:
     Conv and pool layers are one step of the same name. A fire layer is a
     1x1 squeeze conv, then parallel 1x1 and pad-1 3x3 expand convs, joined by
     a concat named after the layer; nothing else knows this. The last step's
-    output is the layer's output. Runs without weights and is the one check
-    of a spec: SpecError for a class count below 2, a non-positive input size
-    or channel count, a duplicate or reserved name, a layer without exactly
-    one input, an undeclared input, an unknown geometry type, or a head with
-    an undeclared layer, under 1 prior per cell, or a loc or conf that is not
-    a conv reading its source with priors x 4 or priors x class_count channels
-    on its grid; GeometryError from ops.out_extents for an output extent below 1.
+    output is the layer's output. Runs without weights and checks the graph (field
+    types are checked as each spec object is built): SpecError for a class count
+    below 2, a non-positive input size or channel count, a duplicate or reserved
+    name, a layer without exactly one input, an undeclared input, or a head with
+    an undeclared layer, under 1 prior per cell, or a loc or conf that is not a
+    conv reading its source with priors x 4 or priors x class_count channels on
+    its grid; GeometryError from ops.out_extents for an output extent below 1.
     """
     if spec.class_count < 2:
         raise SpecError(f"class_count must be >= 2, got {spec.class_count}")
@@ -289,42 +281,14 @@ def describe_text(spec: ArchSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Dump key of each dataclass field whose key is not its field name.
-_JSON_KEYS = {"has_bias": "bias"}
-
-
 def _fields_to_json(obj) -> dict:
-    return {_JSON_KEYS.get(f.name, f.name): getattr(obj, f.name) for f in fields(obj)}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # bool is an int subclass
-
-
-# Whether a dump value fits a field of each checked annotation: 2.0 and true
-# are no int, and a name is a JSON string.
-_JSON_FITS = {
-    "int": _is_int,
-    "tuple[int, int]": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "tuple[str, ...]": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-}
+    return {dump_key(f): getattr(obj, f.name) for f in fields(obj)}
 
 
 def _json_values(cls, entry: dict, skip=()) -> dict:
-    """Field name -> dump value of each field of cls not in skip, checked
-    against the field's annotation; JSON lists become tuples."""
-    values = {}
-    for f in fields(cls):
-        if f.name in skip:
-            continue
-        key = _JSON_KEYS.get(f.name, f.name)
-        value = entry[key]
-        if f.type in _JSON_FITS and not _JSON_FITS[f.type](value):
-            raise SpecError(f"{cls.__name__} field {key!r} must be {f.type}, got {value!r}")
-        values[f.name] = tuple(value) if isinstance(value, list) else value
-    return values
+    """Field name -> dump value of each field of cls not in skip; JSON lists become tuples."""
+    values = {f.name: entry[dump_key(f)] for f in fields(cls) if f.name not in skip}
+    return {name: tuple(v) if isinstance(v, list) else v for name, v in values.items()}
 
 
 def spec_to_json(spec: ArchSpec) -> str:

@@ -10,7 +10,10 @@ as float32. All functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
+from functools import cache
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,26 +22,60 @@ from .errors import GeometryError, ShapeError, SpecError
 from .tensor import Tensor
 
 
-def _check_kernel(g) -> None:
-    """SpecError unless g.kernel is a tuple of two positive ints; a bool is no int."""
-    if not (isinstance(g.kernel, tuple) and len(g.kernel) == 2
-            and all(type(k) is int and k >= 1 for k in g.kernel)):
-        raise SpecError(f"{type(g).__name__} kernel must be two positive ints, got {g.kernel!r}")
+def dump_key(f: Field) -> str:
+    """A field's key in a spec dump: its "key" metadata, else its name."""
+    return f.metadata.get("key", f.name)
+
+
+def _type_test(hint):
+    """Test of a value against a resolved annotation: a class, a union,
+    tuple[X, ...] or a fixed-length tuple; TypeError for any other."""
+    origin, args = get_origin(hint), get_args(hint)
+    if isinstance(hint, type) and origin is None:  # bool subclasses int; True is no count
+        return lambda v: isinstance(v, hint) and (hint is bool or not isinstance(v, bool))
+    tests = [_type_test(a) for a in args if a is not Ellipsis]
+    if origin is UnionType:
+        return lambda v: any(t(v) for t in tests)
+    if origin is tuple and args[-1] is Ellipsis:
+        return lambda v: isinstance(v, tuple) and all(map(tests[0], v))
+    if origin is tuple:
+        return lambda v: (isinstance(v, tuple) and len(v) == len(tests)
+                          and all(t(x) for t, x in zip(tests, v)))
+    raise TypeError(f"no type check for field annotation {hint!r}")
+
+
+@cache
+def _field_tests(cls) -> tuple:
+    """(name, dump key, annotation text, test) of each field, resolved once per class."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, dump_key(f), f.type, _type_test(hints[f.name])) for f in fields(cls))
+
+
+class TypedFields:
+    """Base of the spec dataclasses: on construction, SpecError names the first field
+    whose value does not fit its annotation. A subclass's __post_init__ calls it first."""
+
+    def __post_init__(self):
+        for name, key, annotation, fits in _field_tests(type(self)):
+            if not fits(value := getattr(self, name)):
+                raise SpecError(f"{type(self).__name__} field {key!r} must be {annotation}, got {value!r}")
 
 
 @dataclass(frozen=True)
-class ConvSpec:
+class ConvSpec(TypedFields):
     """Geometry of one convolution layer (weights live in the WeightStore)."""
 
     out_channels: int
     kernel: tuple[int, int] = (3, 3)
     stride: int = 1
     pad: int = 1
-    has_bias: bool = True
+    has_bias: bool = field(default=True, metadata={"key": "bias"})
     activation: str = "relu"  # "relu" or "none"
 
     def __post_init__(self):
-        _check_kernel(self)
+        super().__post_init__()
+        if min(self.kernel) < 1:
+            raise SpecError(f"ConvSpec field 'kernel' must be two ints >= 1, got {self.kernel!r}")
         if self.out_channels < 1 or self.stride < 1 or self.pad < 0:
             raise SpecError(f"invalid conv geometry: {self}")
         if self.activation not in ("relu", "none"):
@@ -46,7 +83,7 @@ class ConvSpec:
 
 
 @dataclass(frozen=True)
-class PoolSpec:
+class PoolSpec(TypedFields):
     """Geometry of one max-pooling layer."""
 
     kernel: tuple[int, int] = (3, 3)
@@ -54,7 +91,9 @@ class PoolSpec:
     rounding: str = "ceil"
 
     def __post_init__(self):
-        _check_kernel(self)
+        super().__post_init__()
+        if min(self.kernel) < 1:
+            raise SpecError(f"PoolSpec field 'kernel' must be two ints >= 1, got {self.kernel!r}")
         if self.stride < 1:
             raise SpecError(f"invalid pool geometry: {self}")
         if self.rounding not in ("ceil", "floor"):

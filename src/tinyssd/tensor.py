@@ -51,10 +51,6 @@ class Tensor:
     def w(self) -> int:
         return self.data.shape[3]
 
-    @classmethod
-    def zeros(cls, n, c, h, w) -> "Tensor":
-        return cls(np.zeros((n, c, h, w), dtype=np.float32))
-
 
 def write_tnsr(t: Tensor, path) -> None:
     """Write a tensor as magic + four u32 LE extents + f32 LE payload."""

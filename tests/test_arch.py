@@ -21,7 +21,7 @@ from tinyssd.arch import (
     spec_to_json,
 )
 from tinyssd.errors import GeometryError, SpecError
-from tinyssd.ops import conv2d, maxpool2d
+from tinyssd.ops import TypedFields, conv2d, maxpool2d
 from tinyssd.tensor import Tensor
 
 EXPECTED_SIZES = {
@@ -33,15 +33,19 @@ EXPECTED_SIZES = {
 }
 
 
+def _layer(spec, name):
+    return next(layer for layer in spec.layers if layer.name == name)
+
+
 def test_fire5_filter_counts(spec):
-    assert spec.layer("fire5").geometry == FireConfig(44, 166, 161)
+    assert _layer(spec, "fire5").geometry == FireConfig(44, 166, 161)
 
 
 def test_head_at_37_has_16_84_channels(spec):
     head = spec.heads[0]
     assert head.source == "fire4"
-    assert spec.layer(head.loc).geometry.out_channels == 16
-    assert spec.layer(head.conf).geometry.out_channels == 84
+    assert _layer(spec, head.loc).geometry.out_channels == 16
+    assert _layer(spec, head.conf).geometry.out_channels == 84
 
 
 def test_exactly_ten_fires_and_six_heads(spec):
@@ -173,11 +177,8 @@ def test_unknown_geometry_type_rejected():
     class NormSpec:
         eps: float = 1e-5
 
-    spec = ArchSpec(layers=(LayerSpec("a", NormSpec(), ("image",)),))
-    with pytest.raises(SpecError, match="a: unknown geometry type NormSpec"):
-        lower(spec)
     with pytest.raises(SpecError, match="NormSpec"):
-        spec_to_json(spec)
+        LayerSpec("a", NormSpec(), ("image",))
 
 
 def test_describe_contains_fire5_row(spec):
@@ -226,8 +227,18 @@ def test_json_rejects_non_integer_counts(spec, section, key, value):
     if entry is None:
         entry = next(e for e in doc["layers"] if e["name"] == section)
     entry[key] = value
-    with pytest.raises(SpecError, match=f"field '{key}' must be"):
+    with pytest.raises(SpecError, match=f"field '{key}' must be") as from_json:
         spec_from_json(json.dumps(doc))
+    # The same value set in Python, as the tuple a JSON list parses to, is
+    # refused with the same text.
+    obj = {"doc": spec, "head": spec.heads[0]}.get(section)
+    if obj is None:
+        layer = _layer(spec, section)
+        obj = layer if key in ("name", "inputs") else layer.geometry
+    field = "has_bias" if key == "bias" else key
+    with pytest.raises(SpecError) as in_python:
+        replace(obj, **{field: tuple(value) if isinstance(value, list) else value})
+    assert str(in_python.value) == str(from_json.value)
 
 
 def test_json_rejects_garbage():
@@ -285,5 +296,40 @@ def test_pool_spec_rejects_bad_rounding():
 @pytest.mark.parametrize("kernel", [3, (3,), (3, 3, 3), (3.0, 3), (True, 3), (0, 3), [3, 3]],
                          ids=["int", "one", "three", "float", "bool", "zero", "list"])
 def test_geometry_rejects_a_kernel_that_is_not_two_positive_ints(make, kernel):
-    with pytest.raises(SpecError, match="kernel must be two positive ints"):
+    with pytest.raises(SpecError, match="field 'kernel' must be"):
         make(kernel)
+
+
+_LAYERS = (LayerSpec("a", ConvSpec(2), ("image",)),)
+
+
+@pytest.mark.parametrize("make, key", [
+    (lambda: ConvSpec(2.0, stride=2.0), "out_channels"),
+    (lambda: ConvSpec(True), "out_channels"),
+    (lambda: ConvSpec(2, pad=1.0), "pad"),
+    (lambda: ConvSpec(2, has_bias=1), "bias"),
+    (lambda: PoolSpec(stride=2.0), "stride"),
+    (lambda: FireConfig(1.0, 2, 2), "squeeze"),
+    (lambda: LayerSpec(5, ConvSpec(2), ("image",)), "name"),
+    (lambda: LayerSpec("a", ConvSpec(2), ["image"]), "inputs"),
+    (lambda: HeadSpec("a", "loc", "conf", 4.0), "priors_per_cell"),
+    (lambda: ArchSpec(layers=_LAYERS, input_size=8.0), "input_size"),
+    (lambda: ArchSpec(layers=_LAYERS, class_count=21.0), "class_count"),
+    (lambda: ArchSpec(layers=list(_LAYERS)), "layers"),
+], ids=["float-counts", "bool-count", "float-pad", "int-bias", "float-pool-stride", "float-squeeze",
+        "int-name", "list-inputs", "float-priors", "float-input-size", "float-class-count",
+        "list-layers"])
+def test_spec_classes_check_field_types_at_construction(make, key):
+    """A spec built in Python is refused on the field types spec_from_json
+    refuses, before anything lowers or runs it."""
+    with pytest.raises(SpecError, match=f"field '{key}' must be"):
+        make()
+
+
+def test_field_check_refuses_an_annotation_it_does_not_know():
+    @dataclass(frozen=True)
+    class Sizes(TypedFields):
+        sizes: list[int]
+
+    with pytest.raises(TypeError, match="no type check for field annotation list"):
+        Sizes([1])

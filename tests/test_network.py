@@ -106,7 +106,7 @@ def test_forward_zero_weights_zero_image(spec):
     from tinyssd.arch import param_manifest
 
     zeros = WeightStore((name, np.zeros(shape)) for name, shape in param_manifest(spec))
-    out = forward(spec, zeros, Tensor.zeros(1, 3, 300, 300))
+    out = forward(spec, zeros, Tensor(np.zeros((1, 3, 300, 300))))
     assert not out.loc.any()
     assert not out.conf.any()
 
@@ -122,7 +122,7 @@ def test_static_shapes_agree_with_forward(spec, store, test_image):
 @pytest.mark.parametrize("run", [forward, activations])
 def test_forward_rejects_wrong_input_shape(spec, store, run):
     with pytest.raises(ShapeError, match="input image"):
-        run(spec, store, Tensor.zeros(1, 3, 200, 200))
+        run(spec, store, Tensor(np.zeros((1, 3, 200, 200))))
 
 
 def test_missing_blob_is_named(spec, store, test_image):
@@ -148,7 +148,7 @@ def test_malformed_graph_detected_at_execution():
     store.add("a/w", np.ones((1, 1, 1, 1)))
     store.add("a/b", np.zeros(1))
     with pytest.raises(SpecError, match="ghost"):
-        activations(spec, store, Tensor.zeros(1, 1, 4, 4))
+        activations(spec, store, Tensor(np.zeros((1, 1, 4, 4))))
 
 
 def test_duplicate_layer_name_rejected_at_execution():
@@ -161,7 +161,7 @@ def test_duplicate_layer_name_rejected_at_execution():
     store.add("a/b", np.zeros(1))
     with pytest.raises(SpecError, match="duplicate layer name 'a'"):
         spec = ArchSpec(layers=layers, input_size=4, input_channels=1)
-        activations(spec, store, Tensor.zeros(1, 1, 4, 4))
+        activations(spec, store, Tensor(np.zeros((1, 1, 4, 4))))
 
 
 def test_headless_spec_cannot_forward():
@@ -170,10 +170,10 @@ def test_headless_spec_cannot_forward():
     store = WeightStore()
     store.add("a/w", np.ones((1, 1, 1, 1)))
     store.add("a/b", np.zeros(1))
-    acts = activations(spec, store, Tensor.zeros(1, 1, 4, 4))
+    acts = activations(spec, store, Tensor(np.zeros((1, 1, 4, 4))))
     assert acts["a"].shape == (1, 1, 4, 4)
     with pytest.raises(SpecError, match="no detection heads"):
-        forward(spec, store, Tensor.zeros(1, 1, 4, 4))
+        forward(spec, store, Tensor(np.zeros((1, 1, 4, 4))))
 
 
 def test_prior_row_ordering_matches_channel_layout():
@@ -188,9 +188,9 @@ def test_prior_row_ordering_matches_channel_layout():
         class_count=2, input_size=2, input_channels=1,
     )
     store = init_random(spec, 0)
-    out = forward(spec, store, Tensor.zeros(1, 1, 2, 2))
+    out = forward(spec, store, Tensor(np.zeros((1, 1, 2, 2))))
     assert out.loc.shape == (1, 2 * 2 * 2, 4)
-    acts = activations(spec, store, Tensor.zeros(1, 1, 2, 2))
+    acts = activations(spec, store, Tensor(np.zeros((1, 1, 2, 2))))
     raw = acts["loc"].data[0]  # (8, 2, 2)
     # row for cell (i, j), prior p holds channels p*4 .. p*4+3 at (i, j)
     for i in range(2):
