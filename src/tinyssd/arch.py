@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from .errors import SpecError
+from .errors import ConfigError, SpecError
 from .ops import ConvSpec, PoolSpec, TypedFields, dump_key, out_extents
 
 VOC_CLASSES = (
@@ -111,6 +111,32 @@ _HEAD_SOURCES = (
     ("conv13_2", 4),
 )
 
+# SSD300 box-size ladder in input pixels: scale k spans entries k (min) and k + 1 (max).
+DEFAULT_BOX_SIZES = (30.0, 60.0, 111.0, 162.0, 213.0, 264.0, 315.0)
+# Aspect ratios by priors per cell: a cell holds one min-size square, one
+# sqrt(min*max) square, and a w/h = a plus h/w = a pair per ratio.
+ASPECT_RATIOS = {4: (2.0,), 6: (2.0, 3.0)}
+
+
+def check_prior_layout(scales, input_size: int) -> None:
+    """The one prior-layout rule over (feature-map side, priors per cell) per scale:
+    ConfigError unless there is a scale, every side is >= 1 and every scale has 4
+    or 6 priors per cell, and the ladder covers every scale within 1.05x the input."""
+    if not scales:
+        raise ConfigError("a prior layout needs at least one scale")
+    for side, per_cell in scales:
+        if side < 1:
+            raise ConfigError(f"feature-map side must be >= 1, got {side}")
+        if per_cell not in ASPECT_RATIOS:
+            raise ConfigError(f"{per_cell} priors per cell; only 4 or 6 are laid out")
+    if len(scales) >= len(DEFAULT_BOX_SIZES):
+        raise ConfigError(f"default sizes cover {len(DEFAULT_BOX_SIZES) - 1} scales, "
+                          f"got {len(scales)}")
+    max_size = DEFAULT_BOX_SIZES[len(scales)]
+    if max_size > input_size * 1.05 + 1e-9:
+        # SSD convention allows the last max_size to slightly exceed the input
+        raise ConfigError(f"max_size {max_size} too large for input {input_size}")
+
 
 def tiny_ssd_spec() -> ArchSpec:
     """The canonical 300x300 Tiny SSD graph: a 57-filter stem, ten fire
@@ -176,9 +202,10 @@ def lower(spec: ArchSpec) -> list[tuple[str, tuple[Step, ...]]]:
     types are checked as each spec object is built): SpecError for a class count
     below 2, a non-positive input size or channel count, a duplicate or reserved
     name, a layer without exactly one input, an undeclared input, or a head with
-    an undeclared layer, under 1 prior per cell, or a loc or conf that is not a
-    conv reading its source with priors x 4 or priors x class_count channels on
-    its grid; GeometryError from ops.out_extents for an output extent below 1.
+    an undeclared layer or a loc or conf that is not a conv reading its source with
+    priors x 4 or priors x class_count channels on its grid; GeometryError from
+    ops.out_extents for an output extent below 1; then ConfigError for a head
+    source grid that is not square, or from check_prior_layout over the heads.
     """
     if spec.class_count < 2:
         raise SpecError(f"class_count must be >= 2, got {spec.class_count}")
@@ -218,8 +245,6 @@ def lower(spec: ArchSpec) -> list[tuple[str, tuple[Step, ...]]]:
         for role, name in (("source", head.source), ("loc", head.loc), ("conf", head.conf)):
             if name not in plan:
                 raise SpecError(f"head {role} layer {name!r} is not declared")
-        if head.priors_per_cell < 1:
-            raise SpecError(f"head at {head.source}: priors_per_cell must be >= 1")
         _, src_h, src_w = plan[head.source][-1].out_shape
         for role, name, per_prior in (("loc", head.loc, 4), ("conf", head.conf, spec.class_count)):
             step = plan[name][-1]
@@ -235,6 +260,12 @@ def lower(spec: ArchSpec) -> list[tuple[str, tuple[Step, ...]]]:
             if (h, w) != (src_h, src_w):
                 raise SpecError(f"head {role} layer {name!r} has a {h}x{w} grid, "
                                 f"expected {src_h}x{src_w} of {head.source!r}")
+        if src_h != src_w:
+            raise ConfigError(f"head source {head.source!r} has a {src_h}x{src_w} grid; "
+                              "priors are laid out on square grids only")
+    if spec.heads:
+        check_prior_layout([(plan[h.source][-1].out_shape[1], h.priors_per_cell)
+                            for h in spec.heads], spec.input_size)
     return lowered
 
 
@@ -308,7 +339,7 @@ def spec_to_json(spec: ArchSpec) -> str:
 
 
 def spec_from_json(text: str) -> ArchSpec:
-    """Parse a :func:`spec_to_json` dump back into an ArchSpec."""
+    """Parse a :func:`spec_to_json` dump into an ArchSpec; raises what :func:`lower` raises."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

@@ -8,18 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import VOC_CLASSES, ArchSpec, intermediate_shapes
+from .arch import (ASPECT_RATIOS, DEFAULT_BOX_SIZES, VOC_CLASSES, ArchSpec,
+                   check_prior_layout, intermediate_shapes)
 from .errors import ConfigError, ShapeError
 from .network import HeadOutput
-from .ops import softmax_rows
+from .ops import TypedFields, softmax_rows
 
-# SSD300-lineage box-size ladder in input pixels: scale k spans entries k
-# (min size) and k + 1 (max size).
-DEFAULT_BOX_SIZES = (30.0, 60.0, 111.0, 162.0, 213.0, 264.0, 315.0)
 DEFAULT_VARIANCES = (0.1, 0.2)
-# Aspect ratios by priors per cell: a cell holds one min-size square, one
-# sqrt(min*max) square, and a w/h = a plus h/w = a pair per ratio.
-ASPECT_RATIOS = {4: (2.0,), 6: (2.0, 3.0)}
 # nms_per_class first walks the best _PREFIX * max_keep boxes. With the seed-7
 # model, on unit-variance 300x300 tensors and on noise frames at the channel
 # means, the 200th kept box came at visit 454-476: 2.3-2.4 times top_k 200.
@@ -27,26 +22,17 @@ _PREFIX = 4
 
 
 @dataclass(frozen=True)
-class PriorConfig:
-    """Prior layout: (feature-map side, priors per cell) per scale, large
-    maps first; scale k takes its sizes from the DEFAULT_BOX_SIZES ladder."""
+class PriorConfig(TypedFields):
+    """Prior layout: (feature-map side, priors per cell) per scale, large maps
+    first, checked by arch.check_prior_layout; scale k takes sizes k and k + 1
+    of arch.DEFAULT_BOX_SIZES."""
 
     scales: tuple[tuple[int, int], ...]
     input_size: int
 
     def __post_init__(self):
-        if not self.scales:
-            raise ConfigError("a prior layout needs at least one scale")
-        for _, per_cell in self.scales:
-            if per_cell not in ASPECT_RATIOS:
-                raise ConfigError(f"{per_cell} priors per cell; only 4 or 6 are laid out")
-        if len(self.scales) >= len(DEFAULT_BOX_SIZES):
-            raise ConfigError(f"default sizes cover {len(DEFAULT_BOX_SIZES) - 1} scales, "
-                              f"got {len(self.scales)}")
-        max_size = DEFAULT_BOX_SIZES[len(self.scales)]
-        if max_size > self.input_size * 1.05 + 1e-9:
-            # SSD convention allows the last max_size to slightly exceed the input
-            raise ConfigError(f"max_size {max_size} too large for input {self.input_size}")
+        super().__post_init__()
+        check_prior_layout(self.scales, self.input_size)
 
 
 @dataclass(frozen=True)
@@ -71,17 +57,10 @@ class Detection:
 
 
 def tiny_ssd_prior_config(spec: ArchSpec) -> PriorConfig:
-    """Prior layout matching a spec's head scales; ConfigError for a head
-    source whose grid is not square, which the layout cannot tile."""
+    """Prior layout of a spec's heads, which lower has checked; ConfigError if it has none."""
     shapes = dict(intermediate_shapes(spec))
-    scales = []
-    for h in spec.heads:
-        _, rows, cols = shapes[h.source]
-        if rows != cols:
-            raise ConfigError(f"head source {h.source!r} has a {rows}x{cols} grid; "
-                              "priors are laid out on square grids only")
-        scales.append((rows, h.priors_per_cell))
-    return PriorConfig(tuple(scales), spec.input_size)
+    return PriorConfig(tuple((shapes[h.source][1], h.priors_per_cell) for h in spec.heads),
+                       spec.input_size)
 
 
 def generate_priors(cfg: PriorConfig) -> PriorSet:

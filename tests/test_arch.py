@@ -22,6 +22,7 @@ from tinyssd.arch import (
 )
 from tinyssd.errors import GeometryError, SpecError
 from tinyssd.ops import TypedFields, conv2d, maxpool2d
+from tinyssd.priors import PriorConfig
 from tinyssd.tensor import Tensor
 
 EXPECTED_SIZES = {
@@ -125,11 +126,12 @@ _SMALL_LAYERS = (
     LayerSpec("a", ConvSpec(4), ("image",)),
     LayerSpec("p", PoolSpec(), ("a",)),
     LayerSpec("q", ConvSpec(4), ("p",)),
-    LayerSpec("loc", ConvSpec(4, activation="none"), ("a",)),
-    LayerSpec("conf", ConvSpec(2, activation="none"), ("a",)),
+    LayerSpec("loc", ConvSpec(16, activation="none"), ("a",)),
+    LayerSpec("conf", ConvSpec(8, activation="none"), ("a",)),
 )
-_SMALL_SPEC = ArchSpec(layers=_SMALL_LAYERS, heads=(HeadSpec("a", "loc", "conf", 1),),
-                       class_count=2, input_size=8)
+# 4 priors per cell at input 58, the smallest whose ladder covers one scale (60 <= 1.05 * 58).
+_SMALL_SPEC = ArchSpec(layers=_SMALL_LAYERS, heads=(HeadSpec("a", "loc", "conf", 4),),
+                       class_count=2, input_size=58)
 
 
 @pytest.mark.parametrize("changes, message", [
@@ -141,15 +143,15 @@ _SMALL_SPEC = ArchSpec(layers=_SMALL_LAYERS, heads=(HeadSpec("a", "loc", "conf",
     ({"layers": (LayerSpec("a", ConvSpec(4), ()),)}, r"a: expected exactly one input, got \(\)"),
     ({"layers": (LayerSpec("a", ConvSpec(4), ("image", "image")),)},
      "a: expected exactly one input, got"),
-    ({"heads": (HeadSpec("x", "loc", "conf", 1),)}, "head source layer 'x' is not declared"),
-    ({"heads": (HeadSpec("a", "x", "conf", 1),)}, "head loc layer 'x' is not declared"),
-    ({"heads": (HeadSpec("a", "loc", "x", 1),)}, "head conf layer 'x' is not declared"),
-    ({"heads": (HeadSpec("a", "loc", "conf", 0),)}, "head at a: priors_per_cell must be >= 1"),
-    ({"heads": (HeadSpec("a", "p", "conf", 1),)}, "head loc layer 'p' must be a conv layer"),
-    ({"heads": (HeadSpec("a", "loc", "q", 1),)}, "head conf layer 'q' does not read from 'a'"),
+    ({"heads": (HeadSpec("x", "loc", "conf", 4),)}, "head source layer 'x' is not declared"),
+    ({"heads": (HeadSpec("a", "x", "conf", 4),)}, "head loc layer 'x' is not declared"),
+    ({"heads": (HeadSpec("a", "loc", "x", 4),)}, "head conf layer 'x' is not declared"),
+    ({"heads": (HeadSpec("a", "loc", "conf", 0),)}, "head loc layer 'loc' has 16 channels, expected 0"),
+    ({"heads": (HeadSpec("a", "p", "conf", 4),)}, "head loc layer 'p' must be a conv layer"),
+    ({"heads": (HeadSpec("a", "loc", "q", 4),)}, "head conf layer 'q' does not read from 'a'"),
     ({"layers": tuple(replace(l, geometry=replace(l.geometry, stride=2)) if l.name == "loc" else l
                       for l in _SMALL_LAYERS)},
-     "head loc layer 'loc' has a 4x4 grid, expected 8x8 of 'a'"),
+     "head loc layer 'loc' has a 29x29 grid, expected 58x58 of 'a'"),
 ], ids=["class-count", "input-size", "input-channels", "reserved-name", "no-input",
         "two-inputs", "undeclared-source", "undeclared-loc", "undeclared-conf",
         "no-priors", "head-not-conv", "head-reads-elsewhere", "head-off-grid"])
@@ -316,12 +318,16 @@ _LAYERS = (LayerSpec("a", ConvSpec(2), ("image",)),)
     (lambda: ArchSpec(layers=_LAYERS, input_size=8.0), "input_size"),
     (lambda: ArchSpec(layers=_LAYERS, class_count=21.0), "class_count"),
     (lambda: ArchSpec(layers=list(_LAYERS)), "layers"),
+    (lambda: PriorConfig(((37.5, 4.0),), 300.0), "scales"),
+    (lambda: PriorConfig(((37, 4.0),), 300), "scales"),
+    (lambda: PriorConfig(((37, 4),), 300.0), "input_size"),
 ], ids=["float-counts", "bool-count", "float-pad", "int-bias", "float-pool-stride", "float-squeeze",
         "int-name", "list-inputs", "float-priors", "float-input-size", "float-class-count",
-        "list-layers"])
+        "list-layers", "prior-float-scale", "prior-float-per-cell", "prior-float-input-size"])
 def test_spec_classes_check_field_types_at_construction(make, key):
     """A spec built in Python is refused on the field types spec_from_json
-    refuses, before anything lowers or runs it."""
+    refuses, before anything lowers or runs it; so is a PriorConfig, before
+    generate_priors lays out boxes from it."""
     with pytest.raises(SpecError, match=f"field '{key}' must be"):
         make()
 

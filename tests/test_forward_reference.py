@@ -51,5 +51,6 @@ def test_forward_matches_float64_reference(spec, store, f16_store, model, input_
 def test_reduced_spec_matches_float64_reference(spec):
     doc = json.loads(spec_to_json(spec))
     doc["input_size"] = 100
+    doc["heads"] = doc["heads"][:1]  # at 100 the box-size ladder covers one scale
     small = spec_from_json(json.dumps(doc))
     _assert_matches_reference(small, init_random(small, 5), _image(2, 100))

@@ -14,7 +14,7 @@ from tinyssd.arch import (
     intermediate_shapes,
     param_manifest,
 )
-from tinyssd.errors import MissingBlobError, ShapeError, SpecError
+from tinyssd.errors import ConfigError, MissingBlobError, ShapeError, SpecError
 from tinyssd.modelio import WeightStore, init_random
 from tinyssd.network import activations, forward
 from tinyssd.priors import tiny_ssd_prior_config
@@ -178,25 +178,30 @@ def test_headless_spec_cannot_forward():
 
 def test_prior_row_ordering_matches_channel_layout():
     """Head flattening must put the per-cell prior index innermost."""
+    # 58 is the smallest input whose box-size ladder covers one scale; a
+    # stride-29 1x1 conv brings it down to a 2x2 grid.
     layers = (
-        LayerSpec("feat", ConvSpec(2, kernel=(1, 1), pad=0, activation="none"), ("image",)),
-        LayerSpec("loc", ConvSpec(8, kernel=(1, 1), pad=0, activation="none"), ("feat",)),
-        LayerSpec("conf", ConvSpec(4, kernel=(1, 1), pad=0, activation="none"), ("feat",)),
+        LayerSpec("feat", ConvSpec(2, kernel=(1, 1), stride=29, pad=0, activation="none"),
+                  ("image",)),
+        LayerSpec("loc", ConvSpec(16, kernel=(1, 1), pad=0, activation="none"), ("feat",)),
+        LayerSpec("conf", ConvSpec(8, kernel=(1, 1), pad=0, activation="none"), ("feat",)),
     )
     spec = ArchSpec(
-        layers=layers, heads=(HeadSpec("feat", "loc", "conf", 2),),
-        class_count=2, input_size=2, input_channels=1,
+        layers=layers, heads=(HeadSpec("feat", "loc", "conf", 4),),
+        class_count=2, input_size=58, input_channels=1,
     )
     store = init_random(spec, 0)
-    out = forward(spec, store, Tensor(np.zeros((1, 1, 2, 2))))
-    assert out.loc.shape == (1, 2 * 2 * 2, 4)
-    acts = activations(spec, store, Tensor(np.zeros((1, 1, 2, 2))))
-    raw = acts["loc"].data[0]  # (8, 2, 2)
+    image = Tensor(np.random.default_rng(3).normal(0, 1, (1, 1, 58, 58)).astype(np.float32))
+    out = forward(spec, store, image)
+    assert out.loc.shape == (1, 2 * 2 * 4, 4)
+    raw = activations(spec, store, image)["loc"].data[0]  # (16, 2, 2)
+    # distinct values, so a row taken from the wrong cell or prior cannot match
+    assert len(np.unique(raw)) == raw.size
     # row for cell (i, j), prior p holds channels p*4 .. p*4+3 at (i, j)
     for i in range(2):
         for j in range(2):
-            for p in range(2):
-                row = out.loc[0, (i * 2 + j) * 2 + p]
+            for p in range(4):
+                row = out.loc[0, (i * 2 + j) * 4 + p]
                 assert np.array_equal(row, raw[p * 4:(p + 1) * 4, i, j])
 
 
@@ -204,24 +209,56 @@ def _misrouted_fire8_loc(spec):
     """fire8_mbox_loc reads fire7, which is also 18x18."""
     layers = tuple(replace(l, inputs=("fire7",)) if l.name == "fire8_mbox_loc" else l
                    for l in spec.layers)
-    return replace(spec, layers=layers), "fire8_mbox_loc' does not read from 'fire8'"
+    return replace(spec, layers=layers), SpecError, "fire8_mbox_loc' does not read from 'fire8'"
 
 
 def _fire4_two_priors(spec):
     """fire4 declared with 2 priors per cell beside its 4-prior predictors."""
     heads = (replace(spec.heads[0], priors_per_cell=2),) + spec.heads[1:]
-    return replace(spec, heads=heads), "fire4_mbox_loc' has 16 channels, expected 8"
+    return replace(spec, heads=heads), SpecError, "fire4_mbox_loc' has 16 channels, expected 8"
 
 
 def _strided_fire8_loc(spec):
     """fire8_mbox_loc with stride 2, a 9x9 grid beside its 18x18 source."""
     layers = tuple(replace(l, geometry=replace(l.geometry, stride=2))
                    if l.name == "fire8_mbox_loc" else l for l in spec.layers)
-    return replace(spec, layers=layers), "fire8_mbox_loc' has a 9x9 grid, expected 18x18 of 'fire8'"
+    return (replace(spec, layers=layers), SpecError,
+            "fire8_mbox_loc' has a 9x9 grid, expected 18x18 of 'fire8'")
 
 
-@pytest.mark.parametrize("corrupt", [_misrouted_fire8_loc, _fire4_two_priors, _strided_fire8_loc],
-                         ids=["misrouted-loc", "wrong-priors-per-cell", "strided-loc"])
+def _fire4_five_priors(spec):
+    """fire4 with 5 priors per cell and predictors sized to match: 20 loc, 105 conf."""
+    channels = {"fire4_mbox_loc": 20, "fire4_mbox_conf": 105}
+    layers = tuple(replace(l, geometry=replace(l.geometry, out_channels=channels[l.name]))
+                   if l.name in channels else l for l in spec.layers)
+    heads = (replace(spec.heads[0], priors_per_cell=5),) + spec.heads[1:]
+    return (replace(spec, layers=layers, heads=heads), ConfigError,
+            "5 priors per cell; only 4 or 6 are laid out")
+
+
+def _seventh_head(spec):
+    """A seventh head on conv13_2, one scale more than the box-size ladder covers."""
+    return replace(spec, heads=spec.heads + spec.heads[-1:]), ConfigError, "cover 6 scales, got 7"
+
+
+def _input_100(spec):
+    """At input 100 the ladder's last max size, 315, exceeds 1.05 x 100."""
+    return replace(spec, input_size=100), ConfigError, "max_size 315.0 too large for input 100"
+
+
+def _tall_conv13_1(spec):
+    """A (3, 1) conv13_1 leaves conv13_2, the last head source, at 1x2."""
+    layers = tuple(replace(l, geometry=replace(l.geometry, kernel=(3, 1)))
+                   if l.name == "conv13_1" else l for l in spec.layers)
+    return (replace(spec, layers=layers), ConfigError,
+            "head source 'conv13_2' has a 1x2 grid; priors are laid out on square grids only")
+
+
+@pytest.mark.parametrize("corrupt", [
+    _misrouted_fire8_loc, _fire4_two_priors, _strided_fire8_loc,
+    _fire4_five_priors, _seventh_head, _input_100, _tall_conv13_1,
+], ids=["misrouted-loc", "wrong-priors-per-cell", "strided-loc",
+        "five-priors", "seventh-head", "input-100", "non-square-source"])
 @pytest.mark.parametrize("consumer", [
     forward,
     activations,
@@ -232,15 +269,17 @@ def _strided_fire8_loc(spec):
     lambda spec, *_: tiny_ssd_prior_config(spec),
 ], ids=["forward", "activations", "param_manifest", "init_random", "audit",
         "describe_text", "prior_config"])
-def test_every_consumer_refuses_a_bad_head(spec, store, test_image, monkeypatch,
-                                           corrupt, consumer):
-    """Each entry point that takes a spec runs the head checks of lower
-    before any conv, so none can build output from the wrong layer."""
-    bad, message = corrupt(spec)
+def test_every_consumer_refuses_a_bad_head(spec, store, monkeypatch, corrupt, consumer):
+    """Each entry point that takes a spec runs the head and prior-layout
+    checks of lower before any conv, so none can build output from the
+    wrong layer or output that detect cannot lay priors under."""
+    bad, error, message = corrupt(spec)
+    # an image of bad's own size, so only its spec is at fault
+    image = Tensor(np.zeros((1, 3, bad.input_size, bad.input_size), dtype=np.float32))
 
     def no_conv(*args, **kwargs):
         raise AssertionError("a conv ran on a spec with a bad head")
 
     monkeypatch.setattr(network, "conv2d", no_conv)
-    with pytest.raises(SpecError, match=message):
-        consumer(bad, store, test_image)
+    with pytest.raises(error, match=message):
+        consumer(bad, store, image)

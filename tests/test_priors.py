@@ -93,6 +93,10 @@ def test_scale_priors_ratio_consistency():
         PriorConfig(scales=((1, 4),) * 7, input_size=300)
     with pytest.raises(ConfigError, match="max_size 315.0 too large for input 299"):
         PriorConfig(scales=((1, 4),) * 6, input_size=299)
+    with pytest.raises(ConfigError, match="feature-map side must be >= 1, got 0"):
+        PriorConfig(scales=((0, 4),), input_size=300)
+    with pytest.raises(ConfigError, match="feature-map side must be >= 1, got -3"):
+        PriorConfig(scales=((-3, 4),), input_size=300)
     assert len(generate_priors(PriorConfig(scales=((1, 4),) * 6, input_size=300))) == 24
 
 
